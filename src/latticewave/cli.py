@@ -292,6 +292,8 @@ def build_field(cfg: dict[str, object], grid: GridSpec, role: str) -> LatticeFie
     f = load_field(cfg[path_key])
     if f.grid != grid:
         raise ConfigError(f"{path_key}: stored grid {f.grid} does not match the configured grid {grid}")
+    if not np.all(np.isfinite(f.values)):
+        raise ConfigError(f"{path_key}: field file {cfg[path_key]} holds non-finite values")
     return f
 
 
@@ -315,24 +317,39 @@ def _blade_order(grid: GridSpec) -> list[int]:
     return sorted(range(grid.blades), key=blade_indices)
 
 
+def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: np.ndarray) -> None:
+    """Header plus one row per site and blade where any of ``fields`` is nonzero.
+
+    Each field contributes a ``repr`` real and imaginary column.  Values are
+    gathered one slab of the leading axis at a time and rows are streamed
+    to ``fh``, so no row strings accumulate in memory.
+    """
+    fh.write(",".join([f"x{a + 1}" for a in range(grid.n)] + list(columns)) + "\n")
+    order = _blade_order(grid)
+    labels = [_blade_label(mask) + "," for mask in order]
+    tails = ["".join(f"{j}," for j in site) for site in np.ndindex(grid.shape[1:])]
+    for i in range(grid.shape[0]):
+        slabs = [f[i].reshape(-1, grid.blades)[:, order] for f in fields]
+        hit = slabs[0] != 0
+        for slab in slabs[1:]:
+            hit |= slab != 0
+        sites, blades = np.nonzero(hit)
+        parts = []
+        for slab in slabs:
+            v = slab[sites, blades]
+            parts += [v.real.tolist(), v.imag.tolist()]
+        head = f"{i},"
+        fh.writelines(
+            f"{head}{tails[site]}{labels[b]}{','.join(map(repr, vals))}\n"
+            for site, b, *vals in zip(sites.tolist(), blades.tolist(), *parts)
+        )
+
+
 def store_field(f: LatticeField, path: str) -> None:
     """Write a field as CSV; exactly-zero coefficients are omitted."""
-    grid = f.grid
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_grid_comments(grid))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{a + 1}" for a in range(grid.n)] + ["blade", "re", "im"])
-        order = _blade_order(grid)
-        for site in np.ndindex(grid.shape):
-            vals = f.values[site]
-            for mask in order:
-                v = vals[mask]
-                if v == 0:
-                    continue
-                writer.writerow(
-                    [str(i) for i in site]
-                    + [_blade_label(mask), repr(float(v.real)), repr(float(v.imag))]
-                )
+        fh.write(_grid_comments(f.grid))
+        _write_rows(fh, f.grid, ["blade", "re", "im"], f.values)
 
 
 def load_field(path: str) -> LatticeField:
@@ -388,38 +405,21 @@ def load_field(path: str) -> LatticeField:
 
 def _store_heat_pair(kb: LatticeField, ks: LatticeField, s: float, path: str) -> None:
     # dual-route kernel export: Bessel product columns next to spectral ones
-    grid = kb.grid
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_grid_comments(grid))
+        fh.write(_grid_comments(kb.grid))
         fh.write(f"# s={float(s)!r}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [f"x{a + 1}" for a in range(grid.n)]
-            + ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
-        )
-        order = _blade_order(grid)
-        for site in np.ndindex(grid.shape):
-            vb, vs = kb.values[site], ks.values[site]
-            for mask in order:
-                b, c = vb[mask], vs[mask]
-                if b == 0 and c == 0:
-                    continue
-                writer.writerow(
-                    [str(i) for i in site]
-                    + [
-                        _blade_label(mask),
-                        repr(float(b.real)),
-                        repr(float(b.imag)),
-                        repr(float(c.real)),
-                        repr(float(c.imag)),
-                    ]
-                )
+        columns = ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
+        _write_rows(fh, kb.grid, columns, kb.values, ks.values)
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # serialise first: a non-finite value must not leave a half-written file
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: run metadata holds a non-finite value; not written") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -449,16 +449,18 @@ def _cfl_info(time: TimeModel | None, grid: GridSpec, m: float):
 
 
 def _worst(residuals: dict[str, dict[str, float]], exclude: tuple[str, ...] = ("richardson_order",)):
-    worst = None
-    for kind, per_time in residuals.items():
-        if kind in exclude:
-            continue
-        for v in per_time.values():
-            worst = v if worst is None else max(worst, v)
-    return worst
+    """Largest residual, or the first non-finite one; None if there are none."""
+    values = [v for kind, per_time in residuals.items() if kind not in exclude for v in per_time.values()]
+    for v in values:
+        if not math.isfinite(v):
+            return v
+    return max(values, default=None)
 
 
 def _enforce_tolerance(args, worst) -> int:
+    if worst is not None and not math.isfinite(worst):
+        print(f"numerical guard: non-finite residual {worst!r}", file=sys.stderr)
+        return 3
     if args.tolerance is None or worst is None:
         return 0
     if worst > args.tolerance:
@@ -549,6 +551,7 @@ def cmd_evolve(args) -> int:
         store_field(psi, os.path.join(outdir, name))
         files.append(name)
 
+    status = _enforce_tolerance(args, _worst(residuals))
     _write_json(
         os.path.join(outdir, "metadata.json"),
         {
@@ -564,7 +567,7 @@ def cmd_evolve(args) -> int:
             "tolerance": args.tolerance,
         },
     )
-    return _enforce_tolerance(args, _worst(residuals))
+    return status
 
 
 def cmd_kernel(args) -> int:
@@ -612,6 +615,7 @@ def cmd_kernel(args) -> int:
             store_field(k0a if kind == "K0_alpha" else k1a, path)
         files.append(name)
 
+    status = _enforce_tolerance(args, _worst(residuals))
     _write_json(
         os.path.join(outdir, "metadata.json"),
         {
@@ -627,7 +631,7 @@ def cmd_kernel(args) -> int:
             "tolerance": args.tolerance,
         },
     )
-    return _enforce_tolerance(args, _worst(residuals))
+    return status
 
 
 def _component_norms(z: Multivector, n: int) -> tuple[float, float]:
@@ -691,6 +695,7 @@ def cmd_spectrum(args) -> int:
                 }
                 worst_err = max(worst_err, max_err)
 
+    status = _enforce_tolerance(args, worst_err)
     _write_json(
         os.path.join(outdir, "metadata.json"),
         {
@@ -703,7 +708,7 @@ def cmd_spectrum(args) -> int:
             "tolerance": args.tolerance,
         },
     )
-    return _enforce_tolerance(args, worst_err)
+    return status
 
 
 def cmd_selftest(args) -> int:

@@ -8,6 +8,8 @@ reports the worst deviation next to its tolerance.  ``run_all`` returns
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import tempfile
@@ -380,8 +382,10 @@ def check_cli_round_trip() -> tuple[bool, str]:
             fh.write(base.format(tau=1.5, times=1.5))
 
         ok_run = main(["evolve", "--config", good, "--out", os.path.join(tmp, "a")]) == 0
-        ok_bad = main(["evolve", "--config", bad_key, "--out", os.path.join(tmp, "b")]) == 2
-        ok_cfl = main(["evolve", "--config", cfl, "--out", os.path.join(tmp, "c")]) == 3
+        # the deliberate failures report on stderr; a passing selftest stays quiet
+        with contextlib.redirect_stderr(io.StringIO()):
+            ok_bad = main(["evolve", "--config", bad_key, "--out", os.path.join(tmp, "b")]) == 2
+            ok_cfl = main(["evolve", "--config", cfl, "--out", os.path.join(tmp, "c")]) == 3
         ok_rescue = main(["evolve", "--config", cfl, "--out", os.path.join(tmp, "d"), "--allow-unstable"]) == 0
     ok = exact and ok_run and ok_bad and ok_cfl and ok_rescue
     return ok, (

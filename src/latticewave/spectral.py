@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, Signature, mul_arrays, pseudoscalar
+from .clifford import Multivector, Signature, active_blades, mul_arrays, pseudoscalar
 from .lattice import GridSpec, LatticeField, discrete_laplacian, norm
 
 __all__ = [
@@ -184,20 +184,36 @@ def _site_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(grid.n))
 
 
+def _transform(values: np.ndarray, grid: GridSpec, fft, scale: float) -> np.ndarray:
+    # FFT only the blade columns that are nonzero somewhere; the others stay
+    # exactly zero.  With every column active this is the plain batched call.
+    act = active_blades(values)
+    if act.size == values.shape[-1]:
+        return fft(values, axes=_site_axes(grid)) * scale
+    out = np.zeros(values.shape, dtype=complex)
+    out[..., act] = fft(values[..., act], axes=_site_axes(grid)) * scale
+    return out
+
+
 def dft(f: LatticeField) -> SpectralField:
-    """Forward transform h**n (2 pi)**(-n/2) sum_x f(x) exp(+i x.xi)."""
+    """Forward transform h**n (2 pi)**(-n/2) sum_x f(x) exp(+i x.xi).
+
+    Only blade columns that are nonzero at some site are transformed; the
+    other columns of the result are exactly zero.
+    """
     g = f.grid
     scale = g.site_count * g.h**g.n / (2.0 * np.pi) ** (g.n / 2.0)
-    vals = np.fft.ifftn(f.values, axes=_site_axes(g)) * scale
-    return SpectralField(g, vals)
+    return SpectralField(g, _transform(f.values, g, np.fft.ifftn, scale))
 
 
 def idft(F: SpectralField) -> LatticeField:
-    """Riemann-weight inverse; exactly inverts dft on the finite grid."""
+    """Riemann-weight inverse; exactly inverts dft on the finite grid.
+
+    Like ``dft`` it transforms only the nonzero blade columns.
+    """
     g = F.grid
     scale = (2.0 * np.pi) ** (g.n / 2.0) / (g.site_count * g.h**g.n)
-    vals = np.fft.fftn(F.values, axes=_site_axes(g)) * scale
-    return LatticeField(g, vals)
+    return LatticeField(g, _transform(F.values, g, np.fft.fftn, scale))
 
 
 def _fourier_matrix(N: int, sign: float) -> np.ndarray:

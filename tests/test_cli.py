@@ -293,6 +293,61 @@ def test_tolerance_enforcement(tmp_path, capsys):
     assert "tolerance exceeded" in capsys.readouterr().err
 
 
+def _stored_1d(tmp_path, name, scalar_column):
+    grid = GridSpec((8,), 1.0, 0.0, 1.0)
+    vals = np.zeros((8, 4), dtype=complex)
+    vals[:, 0] = scalar_column
+    path = str(tmp_path / name)
+    store_field(LatticeField(grid, vals), path)
+    return path
+
+
+@pytest.mark.parametrize("role", ["initial", "velocity"])
+def test_evolve_rejects_non_finite_field_file(tmp_path, capsys, role):
+    bad = _stored_1d(tmp_path, "nan.csv", [1.0, 1.0, 1.0, math.nan, 1.0, 1.0, 1.0, 1.0])
+    cfg = {**KG, "time_model": "central_difference", "tau": 0.5, "times": "0.5"}
+    if role == "initial":
+        cfg.update(initial_data="file", path=bad)
+    else:
+        cfg.update(initial_velocity="file", velocity_path=bad)
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", _config(tmp_path, **cfg), "--out", str(out), "--tolerance", "1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and bad in err
+    assert not (out / "metadata.json").exists()
+
+
+def test_non_finite_residual_breaches_the_guard(tmp_path, capsys):
+    from argparse import Namespace
+
+    from latticewave.cli import _enforce_tolerance, _worst
+
+    residuals = {"kg_residual": {"0.5": 1e-3, "1.0": math.nan}, "richardson_order": {"0.5": 2.0}}
+    assert math.isnan(_worst(residuals))
+    assert _worst({}) is None
+    for tolerance in (None, 1.0):
+        assert _enforce_tolerance(Namespace(tolerance=tolerance), math.nan) == 3
+    capsys.readouterr()
+
+    # finite data whose transforms overflow: the residual comes out NaN
+    huge = _stored_1d(tmp_path, "huge.csv", [1e308, 1e308, 1e308, -1e308, 1e308, 1e308, 1e308, 1e308])
+    cfg = {**KG, "time_model": "central_difference", "tau": 0.5, "times": "0.5", "initial_data": "file", "path": huge}
+    with np.errstate(all="ignore"):
+        code = main(["evolve", "--config", _config(tmp_path, **cfg), "--out", str(tmp_path / "o"), "--tolerance", "1e-9"])
+    assert code == 3
+    assert "non-finite residual" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metadata.json").exists()
+
+
+def test_metadata_with_non_finite_value_is_not_written(tmp_path):
+    from latticewave.cli import _write_json
+
+    path = tmp_path / "metadata.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_json(str(path), {"residuals": {"kg_residual": {"0.5": math.inf}}})
+    assert not path.exists()
+
+
 # -- kernel -----------------------------------------------------------------------
 
 
@@ -381,3 +436,13 @@ def test_spectrum_default_alphas(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["alphas"] == [0.0, 0.25, 0.5]
+
+
+# -- selftest ---------------------------------------------------------------------
+
+
+def test_passing_selftest_is_quiet(capsys):
+    assert main(["selftest"]) == 0
+    captured = capsys.readouterr()
+    assert "13/13 checks passed" in captured.out
+    assert captured.err == ""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewave import (
     Multivector,
@@ -11,7 +13,7 @@ from latticewave import (
     geometric_product,
     pseudoscalar,
 )
-from latticewave.clifford import mul_arrays
+from latticewave.clifford import _tables, mul_arrays
 
 
 def _rand(sig, rng):
@@ -161,3 +163,67 @@ def test_mul_arrays_matches_scalar_path(rng):
     for k in range(5):
         want = Multivector(sig, A[k]) * Multivector(sig, B[k])
         assert np.max(np.abs(got[k] - want.coeffs)) <= 1e-12
+
+
+# -- sparse product against the dense double loop -----------------------------------
+
+
+def _dense_mul(n, a, b):
+    """Reference product: every left blade times every right blade, zeros included."""
+    sign, _ = _tables(n)
+    size = 1 << (2 * n)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    blades = np.arange(size)
+    for i in range(size):
+        out[..., blades ^ i] += a[..., i, None] * (sign[i] * b)
+    return out
+
+
+def _support(n, kind, rng):
+    size = 1 << (2 * n)
+    if kind == "empty":
+        return []
+    if kind == "one":
+        return [int(rng.integers(size))]
+    if kind == "dirac":
+        # scalar data under the Dirac flow: {1, e_j, e_{n+j}, pseudoscalar}
+        return sorted({0, size - 1} | {1 << j for j in range(2 * n)})
+    return list(range(size))
+
+
+def _with_support(shape, n, blades, rng):
+    vals = np.zeros(shape + (1 << (2 * n),), dtype=complex)
+    vals[..., blades] = rng.standard_normal(shape + (len(blades),)) + 1j * rng.standard_normal(shape + (len(blades),))
+    return vals
+
+
+SUPPORTS = ("empty", "one", "dirac", "full")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("left", SUPPORTS)
+@pytest.mark.parametrize("right", SUPPORTS)
+def test_mul_arrays_equals_dense_loop(n, left, right, rng):
+    assert len(_support(n, "dirac", rng)) == 2 * n + 2
+    a = _with_support((3, 2), n, _support(n, left, rng), rng)
+    b = _with_support((3, 2), n, _support(n, right, rng), rng)
+    assert np.array_equal(mul_arrays(n, a, b), _dense_mul(n, a, b))
+    # broadcast: a constant multivector times a field, and the reverse
+    assert np.array_equal(mul_arrays(n, a[0, 0], b), _dense_mul(n, a[0, 0], b))
+    assert np.array_equal(mul_arrays(n, a, b[1, 1]), _dense_mul(n, a, b[1, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    shape=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    bits=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_arrays_property_random_supports(n, shape, bits, seed):
+    size = 1 << (2 * n)
+    rng = np.random.default_rng(seed)
+    a, b = (_with_support(shape, n, [k for k in range(size) if mask >> k & 1], rng) for mask in bits)
+    assert np.array_equal(mul_arrays(n, a, b), _dense_mul(n, a, b))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewave import (
     GridSpec,
@@ -49,6 +51,53 @@ def test_frequencies_cover_the_zone():
 def test_round_trip(shape, rng):
     f = random_field(GridSpec(shape, 0.7), rng)
     assert relative_gap(idft(dft(f)), f) <= 1e-13
+
+
+def _full_column_transforms(values, grid):
+    # the batched all-column FFT, zero columns included
+    axes = tuple(range(grid.n))
+    fwd = grid.site_count * grid.h**grid.n / (2.0 * np.pi) ** (grid.n / 2.0)
+    inv = (2.0 * np.pi) ** (grid.n / 2.0) / (grid.site_count * grid.h**grid.n)
+    return np.fft.ifftn(values, axes=axes) * fwd, np.fft.fftn(values, axes=axes) * inv
+
+
+def _check_partial_transforms(grid, blades, rng):
+    vals = np.zeros(grid.shape + (grid.blades,), dtype=complex)
+    vals[..., blades] = rng.standard_normal(grid.shape + (len(blades),)) + 1j * rng.standard_normal(
+        grid.shape + (len(blades),)
+    )
+    fwd, inv = _full_column_transforms(vals, grid)
+    inactive = np.setdiff1d(np.arange(grid.blades), blades)
+    F = dft(LatticeField(grid, vals)).values
+    f = idft(SpectralField(grid, vals)).values
+    assert np.array_equal(F, fwd) and np.array_equal(f, inv)
+    assert np.all(F[..., inactive] == 0) and np.all(f[..., inactive] == 0)
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 6), (16, 16, 16)])
+@pytest.mark.parametrize("support", ["none", "scalar", "dirac", "full"])
+def test_partial_support_transforms_match_full_fft(shape, support, rng):
+    grid = GridSpec(shape, 0.7)
+    n = grid.n
+    blades = {
+        "none": [],
+        "scalar": [0],
+        "dirac": sorted({0, grid.blades - 1} | {1 << j for j in range(2 * n)}),
+        "full": list(range(grid.blades)),
+    }[support]
+    _check_partial_transforms(grid, blades, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.lists(st.sampled_from([2, 4, 6, 8]), min_size=1, max_size=3).map(tuple),
+    bits=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_support_transforms_property(shape, bits, seed):
+    grid = GridSpec(shape, 0.5)
+    blades = [k for k in range(grid.blades) if bits >> k & 1]
+    _check_partial_transforms(grid, blades, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 4)])
