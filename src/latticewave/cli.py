@@ -488,65 +488,63 @@ def cmd_evolve(args) -> int:
     if equation != "heat":
         time = _time_model(cfg)
         _validate_times(time, times)
-    else:
-        for t in times:
-            if t < 0:
-                raise ConfigError("times: heat flow needs s >= 0")
+    elif any(t < 0 for t in times):
+        raise ConfigError("times: heat flow needs s >= 0")
     cfl = _cfl_info(time, grid, m)
 
-    data = None
-    frac = None
+    unstable = args.allow_unstable
+    data = frac = None
     if equation in ("klein_gordon", "fractional_kg"):
         data = CauchyData(phi0, build_field(cfg, grid, "velocity"))
     if equation == "fractional_kg":
         frac = FracParams(cfg["frac_alpha"], m)
+    tau = None if time is None else time.tau  # set for central differences only
+
+    # Per equation: the field at time t, and the checks of the slice psi at t.
+    # The lambdas look the solvers up by name each time they run.
+    solvers = {
+        "klein_gordon": lambda t: solve_kg(data, time, m, t, allow_unstable=unstable),
+        "dirac": lambda t: solve_dirac(phi0, time, grid.alpha, m, t, allow_unstable=unstable),
+        "heat": lambda t: heat_semigroup(phi0, t),
+        "fractional_kg": lambda t: solve_kg_fractional(data, time, frac, t, allow_unstable=unstable),
+    }
+    at = solvers[equation]
+
+    def leapfrog(t: float, psi: LatticeField) -> dict[str, float]:
+        return {"kg_residual": kg_residual(at(t - tau), psi, at(t + tau), m, tau)} if tau else {}
+
+    def richardson(kind: str, pair: tuple[float, float]) -> dict[str, float]:
+        return {kind: pair[0], "richardson_order": pair[1]}
+
+    def dirac_checks(t: float, psi: LatticeField) -> dict[str, float]:
+        if not tau:
+            return richardson("dirac_residual", continuous_dirac_residual(phi0, grid.alpha, m, t))
+        half = dirac_residual(at(t - tau / 2), psi, at(t + tau / 2), grid.alpha, m, tau)
+        return {"dirac_residual": half, **leapfrog(t, psi)}
+
+    checks = {
+        "klein_gordon": lambda t, psi: (
+            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(data, m, t))
+        ),
+        "dirac": dirac_checks,
+        "heat": lambda t, psi: {"semigroup_gap": relative_gap(heat_semigroup(at(t / 2.0), t / 2.0), psi)},
+        "fractional_kg": lambda t, psi: {
+            "fractional_equivalence_gap": relative_gap(psi, solvers["klein_gordon"](t)), **leapfrog(t, psi)
+        },
+    }[equation]
 
     files: list[str] = []
     residuals: dict[str, dict[str, float]] = {}
-
-    def note(kind: str, t: float, value: float) -> None:
-        residuals.setdefault(kind, {})[repr(float(t))] = float(value)
-
     for idx, t in enumerate(times):
-        if equation == "klein_gordon":
-            psi = solve_kg(data, time, m, t, allow_unstable=args.allow_unstable)
-            if time.kind == "central_difference":
-                tau = time.tau
-                prev = solve_kg(data, time, m, t - tau, allow_unstable=args.allow_unstable)
-                nxt = solve_kg(data, time, m, t + tau, allow_unstable=args.allow_unstable)
-                note("kg_residual", t, kg_residual(prev, psi, nxt, m, tau))
-            else:
-                extrap, order = continuous_kg_residual(data, m, t)
-                note("continuous_residual", t, extrap)
-                note("richardson_order", t, order)
-        elif equation == "dirac":
-            alpha = float(cfg["alpha"])
-            psi = solve_dirac(phi0, time, alpha, m, t, allow_unstable=args.allow_unstable)
-            if time.kind == "central_difference":
-                tau = time.tau
-
-                def at(tt: float) -> LatticeField:
-                    return solve_dirac(phi0, time, alpha, m, tt, allow_unstable=args.allow_unstable)
-
-                note("dirac_residual", t, dirac_residual(at(t - tau / 2), psi, at(t + tau / 2), alpha, m, tau))
-                note("kg_residual", t, kg_residual(at(t - tau), psi, at(t + tau), m, tau))
-            else:
-                extrap, order = continuous_dirac_residual(phi0, alpha, m, t)
-                note("dirac_residual", t, extrap)
-                note("richardson_order", t, order)
-        elif equation == "heat":
-            psi = heat_semigroup(phi0, t)
-            twice = heat_semigroup(heat_semigroup(phi0, t / 2.0), t / 2.0)
-            note("semigroup_gap", t, relative_gap(twice, psi))
-        else:
-            psi = solve_kg_fractional(data, time, frac, t, allow_unstable=args.allow_unstable)
-            reference = solve_kg(data, time, m, t, allow_unstable=args.allow_unstable)
-            note("fractional_equivalence_gap", t, relative_gap(psi, reference))
-            if time.kind == "central_difference":
-                tau = time.tau
-                prev = solve_kg_fractional(data, time, frac, t - tau, allow_unstable=args.allow_unstable)
-                nxt = solve_kg_fractional(data, time, frac, t + tau, allow_unstable=args.allow_unstable)
-                note("kg_residual", t, kg_residual(prev, psi, nxt, m, tau))
+        # overflow ends in a non-finite residual, which the guard below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = at(t)
+            found = checks(t, psi)
+        for kind, value in found.items():
+            residuals.setdefault(kind, {})[repr(float(t))] = float(value)
+        worst = _worst(residuals)
+        if worst is not None and not math.isfinite(worst):
+            return _enforce_tolerance(args, worst)  # before this slice is written
         name = f"field_{idx:03d}.csv"
         store_field(psi, os.path.join(outdir, name))
         files.append(name)
@@ -585,10 +583,8 @@ def cmd_kernel(args) -> int:
         _require(cfg, "kernel", "time_model")
         time = _time_model(cfg)
         _validate_times(time, times)
-    else:
-        for t in times:
-            if t < 0:
-                raise ConfigError("times: heat kernels need s >= 0")
+    elif any(t < 0 for t in times):
+        raise ConfigError("times: heat kernels need s >= 0")
     if kind in ("K0_alpha", "K1_alpha"):
         _require(cfg, "kernel", "frac_alpha")
         if not m > 0:

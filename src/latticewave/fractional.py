@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import mul_arrays, pseudoscalar
 from .lattice import GridSpec, LatticeField, discrete_laplacian
-from .propagators import CauchyData, TimeModel, lambda_max
-from .spectral import SpectralField, convolve, d2_field, dft, idft, z_field
+from .propagators import CauchyData, TimeModel, lambda_field, lambda_max
+from .spectral import apply_multiplier, convolve, d2_field, dft, dirac_symbol, idft, multiply_field, scalar_kernel
 
 __all__ = [
     "FracParams",
@@ -66,15 +65,7 @@ def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
     s = float(s)
     if s < 0:
         raise ValueError(f"heat time must be nonnegative, got {s}")
-    mult = np.exp(-s * d2_field(f.grid))
-    F = dft(f)
-    return idft(SpectralField(f.grid, F.values * mult[..., None]))
-
-
-def _scalar_kernel(grid: GridSpec, values: np.ndarray) -> LatticeField:
-    out = np.zeros(grid.shape + (grid.blades,), dtype=complex)
-    out[..., 0] = values
-    return LatticeField(grid, out)
+    return multiply_field(f, np.exp(-s * d2_field(f.grid)))
 
 
 def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:
@@ -86,15 +77,7 @@ def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:
     s = float(s)
     if s < 0:
         raise ValueError(f"heat time must be nonnegative, got {s}")
-    mult = np.exp(-s * d2_field(grid))
-    K = idft(SpectralField(grid, mult[..., None] * _one_hot_scalar(grid)))
-    return (2.0 * np.pi) ** (-grid.n / 2.0) * K
-
-
-def _one_hot_scalar(grid: GridSpec) -> np.ndarray:
-    e = np.zeros((grid.blades,), dtype=complex)
-    e[0] = 1.0
-    return e
+    return (2.0 * np.pi) ** (-grid.n / 2.0) * scalar_kernel(grid, np.exp(-s * d2_field(grid)))
 
 
 def _periodized_bessel(N: int, u: float) -> np.ndarray:
@@ -127,7 +110,7 @@ def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
         shape = [1] * grid.n
         shape[axis] = -1
         vals = vals * line.reshape(shape)
-    return _scalar_kernel(grid, vals / grid.h**grid.n)
+    return LatticeField.from_scalar(grid, vals / grid.h**grid.n)
 
 
 # -- special functions -----------------------------------------------------------
@@ -252,9 +235,7 @@ def _power_multiplier(grid: GridSpec, m: float, exponent: float) -> np.ndarray:
 def frac_power(f: LatticeField, p: FracParams, mode: str = "spectral") -> LatticeField:
     """(-Laplacian + m^2)^{-alpha} f, spectrally or by subordination quadrature."""
     if mode == "spectral":
-        mult = _power_multiplier(f.grid, p.m, -p.alpha)
-        F = dft(f)
-        return idft(SpectralField(f.grid, F.values * mult[..., None]))
+        return multiply_field(f, _power_multiplier(f.grid, p.m, -p.alpha))
     if mode != "subordination":
         raise ValueError(f"mode must be 'spectral' or 'subordination', got {mode!r}")
     return _frac_power_subordination(f, p)
@@ -273,10 +254,13 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
         raise ValueError("quadrature window is empty; raise t_max or loosen head_tol")
     u = np.linspace(lo, hi, int(p.nodes))
     du = u[1] - u[0]
+    # every node applies the heat multiplier to the same transform of f
+    F = dft(f)
+    d2 = d2_field(f.grid)
 
     def g(uv: float) -> LatticeField:
         t = math.exp(uv)
-        return (t**alpha * math.exp(-t * m * m)) * heat_semigroup(f, t)
+        return (t**alpha * math.exp(-t * m * m)) * idft(apply_multiplier(F, np.exp(-t * d2)))
 
     def g_prime(uv: float, gv: LatticeField) -> LatticeField:
         t = math.exp(uv)
@@ -287,6 +271,7 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
     acc = 0.5 * (g_lo + g_hi)
     for uv in u[1:-1]:
         acc = acc + g(float(uv))
+    del F  # released before the correction below, the memory peak of the quadrature
     total = du * acc
     # endpoint (Euler-Maclaurin) correction removes the O(du^2) trapezoid bias
     total = total - du * du / 12.0 * (g_prime(hi, g_hi) - g_prime(lo, g_lo))
@@ -297,12 +282,8 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
 
 
 def _riesz_like(f: LatticeField, p: FracParams, exponent: float) -> LatticeField:
-    grid = f.grid
-    gam = pseudoscalar(grid.sig).coeffs
-    zm = z_field(grid, p.alpha) - p.m * gam
-    mult = zm * _power_multiplier(grid, p.m, exponent)[..., None]
-    F = dft(f)
-    return idft(SpectralField(grid, mul_arrays(grid.n, mult, F.values)))
+    zm = dirac_symbol(f.grid, p.alpha, p.m)
+    return multiply_field(f, zm * _power_multiplier(f.grid, p.m, exponent)[..., None])
 
 
 def riesz(f: LatticeField, p: FracParams) -> LatticeField:
@@ -324,16 +305,10 @@ def fractional_kernels(grid: GridSpec, time: TimeModel, p: FracParams, t: float,
     Convolving them with alpha-damped data cancels the powers spectrally,
     so the fractional route reproduces the plain solver.
     """
-    from .propagators import lambda_field
-
     lam = lambda_field(grid, p.m)
     c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
     boost = _power_multiplier(grid, p.m, p.alpha)
-    K0v = np.zeros(grid.shape + (grid.blades,), dtype=complex)
-    K1v = np.zeros_like(K0v)
-    K0v[..., 0] = boost * c
-    K1v[..., 0] = boost * s
-    return idft(SpectralField(grid, K0v)), idft(SpectralField(grid, K1v))
+    return scalar_kernel(grid, boost * c), scalar_kernel(grid, boost * s)
 
 
 def solve_kg_fractional(data: CauchyData, time: TimeModel, p: FracParams, t: float,
@@ -357,13 +332,7 @@ def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float,
     Its even part in t is the K0 propagation of phi and its odd part over i
     the first-order (Riesz-direction) term; at t = 0 it is the identity.
     """
-    from .propagators import lambda_field
-
-    grid = phi.grid
-    gam = pseudoscalar(grid.sig).coeffs
-    zm = z_field(grid, p.alpha) - p.m * gam
-    lam = lambda_field(grid, p.m)
-    c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
+    zm = dirac_symbol(phi.grid, p.alpha, p.m)
+    c, s = time.multipliers(lambda_field(phi.grid, p.m), t, allow_unstable=allow_unstable)
     F = dft(phi)
-    vals = c[..., None] * F.values + 1j * s[..., None] * mul_arrays(grid.n, zm, F.values)
-    return idft(SpectralField(grid, vals))
+    return idft(apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s))

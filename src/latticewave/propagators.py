@@ -22,13 +22,11 @@ evolution backwards, which the recurrences support).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .clifford import Multivector, mul_arrays, pseudoscalar
 from .lattice import GridSpec, LatticeField, discrete_laplacian, norm
-from .spectral import SpectralField, convolve, d2_field, dft, idft, z_field
+from .spectral import SpectralField, apply_multiplier, convolve, d2_field, dft, dirac_symbol, idft, scalar_kernel
 from .umbral import (
     CflViolationError,
     DeltaOperator,
@@ -156,11 +154,7 @@ def wave_kernels(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unst
     """
     lam = lambda_field(grid, m)
     c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
-    K0 = np.zeros(grid.shape + (grid.blades,), dtype=complex)
-    K1 = np.zeros_like(K0)
-    K0[..., 0] = c
-    K1[..., 0] = s
-    return idft(SpectralField(grid, K0)), idft(SpectralField(grid, K1))
+    return scalar_kernel(grid, c), scalar_kernel(grid, s)
 
 
 def solve_kg_by_kernels(data: CauchyData, time: TimeModel, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
@@ -190,26 +184,22 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     return norm(quot - rhs) / scale
 
 
-def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | None = None):
-    """Richardson check of the continuous-time equation at time t.
+def _richardson(data: CauchyData, m: float, t: float, delta: float | None, rhs_of, quotient):
+    """(extrapolated residual, estimated order) of a central quotient in t.
 
-    Returns (extrapolated residual, estimated order): central second
-    differences in t at steps delta and delta/2 are compared against
-    (Laplacian - m^2) Psi(t); the plain residuals shrink like delta^2, so
-    the order estimate should sit near 2 and the extrapolation well below
-    either.
+    ``quotient(plus, minus, mid, d)`` of the continuous-time solve_kg
+    slices at t + d, t - d and t is compared against ``rhs_of(mid)`` at
+    steps delta and delta/2.
     """
     time = TimeModel.continuous()
     if delta is None:
         delta = 1e-3 * max(1.0, abs(t))
     mid = solve_kg(data, time, m, t)
-    rhs = discrete_laplacian(mid) - (float(m) ** 2) * mid
+    rhs = rhs_of(mid)
     scale = max(norm(rhs), norm(mid), 1e-300)
 
     def resid(d: float) -> float:
-        plus = solve_kg(data, time, m, t + d)
-        minus = solve_kg(data, time, m, t - d)
-        quot = (plus - 2.0 * mid + minus) * (1.0 / d**2)
+        quot = quotient(solve_kg(data, time, m, t + d), solve_kg(data, time, m, t - d), mid, d)
         return norm(quot - rhs) / scale
 
     r1 = resid(delta)
@@ -219,23 +209,34 @@ def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | 
     return extrap, float(order)
 
 
+def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | None = None):
+    """Richardson check of the continuous-time equation at time t.
+
+    Returns (extrapolated residual, estimated order): central second
+    differences in t at steps delta and delta/2 are compared against
+    (Laplacian - m^2) Psi(t); the plain residuals shrink like delta^2, so
+    the order estimate should sit near 2 and the extrapolation well below
+    either.
+    """
+    return _richardson(data, m, t, delta,
+                       lambda mid: discrete_laplacian(mid) - (float(m) ** 2) * mid,
+                       lambda plus, minus, mid, d: (plus - 2.0 * mid + minus) * (1.0 / d**2))
+
+
 # -- Dirac ---------------------------------------------------------------------
 
 
-def _dirac_symbol(grid: GridSpec, alpha: float, m: float) -> np.ndarray:
-    gam = pseudoscalar(grid.sig).coeffs
-    return z_field(grid, alpha) - float(m) * gam
+def _dirac_velocity(f: LatticeField, alpha: float, m: float) -> LatticeField:
+    """i (D - m gamma) f, the factor i applied after the Clifford product."""
+    F = apply_multiplier(dft(f), dirac_symbol(f.grid, alpha, m))
+    return idft(SpectralField(f.grid, 1j * F.values))
 
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
     """Cauchy pair (Phi0, i(D - m gamma)Phi0) that drives the first-order flow."""
-    grid = phi0.grid
     if not (0.0 <= alpha <= 0.5):
         raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
-    zm = _dirac_symbol(grid, alpha, m)
-    F0 = dft(phi0)
-    phi1 = idft(SpectralField(grid, 1j * mul_arrays(grid.n, zm, F0.values)))
-    return CauchyData(phi0, phi1)
+    return CauchyData(phi0, _dirac_velocity(phi0, alpha, m))
 
 
 def solve_dirac(phi0: LatticeField, time: TimeModel, alpha: float, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
@@ -252,11 +253,8 @@ def solve_dirac(phi0: LatticeField, time: TimeModel, alpha: float, m: float, t: 
 def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: LatticeField,
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
-    grid = psi_mid.grid
     quot = (psi_plus - psi_minus) * (1.0 / float(tau))
-    zm = _dirac_symbol(grid, alpha, m)
-    F = dft(psi_mid)
-    rhs = idft(SpectralField(grid, 1j * mul_arrays(grid.n, zm, F.values)))
+    rhs = _dirac_velocity(psi_mid, alpha, m)
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
         return 0.0
@@ -270,27 +268,9 @@ def continuous_dirac_residual(phi0: LatticeField, alpha: float, m: float, t: flo
     Same contract as continuous_kg_residual: returns (extrapolated residual,
     estimated order), the plain central-quotient residuals being O(delta^2).
     """
-    time = TimeModel.continuous()
-    if delta is None:
-        delta = 1e-3 * max(1.0, abs(t))
-    grid = phi0.grid
-    mid = solve_dirac(phi0, time, alpha, m, t)
-    zm = _dirac_symbol(grid, alpha, m)
-    F = dft(mid)
-    rhs = idft(SpectralField(grid, 1j * mul_arrays(grid.n, zm, F.values)))
-    scale = max(norm(rhs), norm(mid), 1e-300)
-
-    def resid(d: float) -> float:
-        plus = solve_dirac(phi0, time, alpha, m, t + d)
-        minus = solve_dirac(phi0, time, alpha, m, t - d)
-        quot = (plus - minus) * (1.0 / (2.0 * d))
-        return norm(quot - rhs) / scale
-
-    r1 = resid(delta)
-    r2 = resid(delta / 2.0)
-    order = np.log2(r1 / r2) if r2 > 0 else np.inf
-    extrap = abs(4.0 * r2 - r1) / 3.0
-    return extrap, float(order)
+    return _richardson(dirac_data(phi0, alpha, m), m, t, delta,
+                       lambda mid: _dirac_velocity(mid, alpha, m),
+                       lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 
 
 # -- Chebyshev route -----------------------------------------------------------

@@ -49,11 +49,14 @@ __all__ = [
     "multiplier_z",
     "d2_field",
     "z_field",
+    "dirac_symbol",
     "dft",
     "idft",
     "dft_direct",
     "idft_direct",
     "apply_multiplier",
+    "multiply_field",
+    "scalar_kernel",
     "dirac_h_alpha",
     "factorization_check",
     "convolve",
@@ -177,6 +180,11 @@ def z_field(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> np.n
     return out
 
 
+def dirac_symbol(grid: GridSpec, alpha: float, m: float) -> np.ndarray:
+    """Massive Dirac symbol z(xi) - m gamma on the momentum grid, shape (*shape, 4**n)."""
+    return z_field(grid, alpha) - float(m) * pseudoscalar(grid.sig).coeffs
+
+
 # -- transforms --------------------------------------------------------------
 
 
@@ -271,8 +279,24 @@ def apply_multiplier(F: SpectralField, M) -> SpectralField:
     if M.shape == g.shape:
         return SpectralField(g, F.values * M[..., None])
     if M.shape == g.shape + (g.blades,):
-        return SpectralField(g, mul_arrays(g.n, M.astype(complex), F.values))
+        return SpectralField(g, mul_arrays(g.n, M, F.values))
     raise ValueError(f"multiplier shape {M.shape} matches neither {g.shape} nor {g.shape + (g.blades,)}")
+
+
+def multiply_field(f: LatticeField, *multipliers) -> LatticeField:
+    """idft(M_k ... M_1 dft(f)): the multipliers act in order, each from the left.
+
+    Every multiplier takes any form ``apply_multiplier`` accepts.
+    """
+    F = dft(f)
+    for M in multipliers:
+        F = apply_multiplier(F, M)
+    return idft(F)
+
+
+def scalar_kernel(grid: GridSpec, symbol: np.ndarray) -> LatticeField:
+    """Inverse transform of a scalar multiplier of shape (*shape,), on the scalar blade."""
+    return idft(SpectralField(grid, LatticeField.from_scalar(grid, symbol).values))
 
 
 def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
@@ -284,7 +308,7 @@ def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
     alpha = f.grid.alpha if alpha is None else alpha
     if not (0.0 <= alpha <= 0.5):
         raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
-    return idft(apply_multiplier(dft(f), z_field(f.grid, alpha)))
+    return multiply_field(f, z_field(f.grid, alpha))
 
 
 def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
@@ -294,12 +318,8 @@ def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
     right-hand side uses the position-space stencil, so the two sides share
     no code path beyond the transform.
     """
-    g = f.grid
-    gam = pseudoscalar(g.sig).coeffs
-    zm = z_field(g, alpha) - float(m) * gam
-    F = dft(f)
-    twice = mul_arrays(g.n, zm, mul_arrays(g.n, zm, F.values))
-    lhs = idft(SpectralField(g, twice))
+    zm = dirac_symbol(f.grid, alpha, m)
+    lhs = multiply_field(f, zm, zm)
     rhs = -discrete_laplacian(f) + (m * m) * f
     scale = norm(f)
     return norm(lhs - rhs) / scale if scale > 1e-300 else norm(lhs - rhs)

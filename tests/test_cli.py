@@ -446,3 +446,51 @@ def test_passing_selftest_is_quiet(capsys):
     captured = capsys.readouterr()
     assert "13/13 checks passed" in captured.out
     assert captured.err == ""
+
+
+# -- failing runs leave nothing behind and name one guard ------------------------------
+
+
+def _huge_run(tmp_path, **extra):
+    huge = _stored_1d(tmp_path, "huge.csv", [1e308, 1e308, 1e308, -1e308, 1e308, 1e308, 1e308, 1e308])
+    cfg = {**KG, "time_model": "central_difference", "tau": 0.5, "times": "0.5,1.0",
+           "initial_data": "file", "path": huge, **extra}
+    return _config(tmp_path, **cfg)
+
+
+def test_non_finite_residual_leaves_no_field_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", _huge_run(tmp_path), "--out", str(out), "--tolerance", "1e-9"]) == 3
+    assert capsys.readouterr().err == "numerical guard: non-finite residual nan\n"
+    assert list(out.iterdir()) == []
+
+
+def test_finite_tolerance_breach_still_writes_fields_and_metadata(tmp_path, capsys):
+    cfg = _config(tmp_path, **{**KG, "time_model": "central_difference", "tau": 0.5, "times": "0.5,1.0"})
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--tolerance", "1e-30"]) == 3
+    assert "tolerance exceeded" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["field_000.csv", "field_001.csv", "metadata.json"]
+    assert json.loads((out / "metadata.json").read_text())["files"] == ["field_000.csv", "field_001.csv"]
+
+
+def test_failing_run_prints_one_stderr_line(tmp_path):
+    # a subprocess, so numpy's RuntimeWarnings reach stderr as they would for a user
+    import os
+    import subprocess
+    import sys
+
+    import latticewave
+
+    src = os.path.dirname(os.path.dirname(latticewave.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    code = "import sys; from latticewave.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "evolve", "--config", _huge_run(tmp_path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["numerical guard: non-finite residual nan"]
+    assert list(out.iterdir()) == []
