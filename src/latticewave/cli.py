@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
+import re
 import sys
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -352,23 +355,23 @@ def store_field(f: LatticeField, path: str) -> None:
         _write_rows(fh, f.grid, ["blade", "re", "im"], f.values)
 
 
-def load_field(path: str) -> LatticeField:
-    """Inverse of store_field (bit-exact for finite values)."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
+_CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
+_BLANK_LINE = re.compile(r"\n[ \t\f\v\r]+(?=\n|$)")
+
+
+def _read_grid(fh, path: str) -> GridSpec:
+    """Grid from the ``#`` lines before the header; reads through the header."""
     meta: dict[str, str] = {}
-    body: list[str] = []
-    for line in lines:
+    header = None
+    for line in fh:
         if line.startswith("#"):
             inner = line[1:].strip()
             if "=" in inner:
                 k, _, v = inner.partition("=")
                 meta[k.strip()] = v.strip()
         elif line.strip():
-            body.append(line)
+            header = line.rstrip("\r\n").split(",")
+            break
     for key in ("shape", "spacing", "alpha", "mass"):
         if key not in meta:
             raise ConfigError(f"{path}: missing '# {key}=' comment")
@@ -377,29 +380,105 @@ def load_field(path: str) -> LatticeField:
         grid = GridSpec(shape, float(meta["spacing"]), float(meta["alpha"]), float(meta["mass"]))
     except ValueError as exc:
         raise ConfigError(f"{path}: bad grid metadata: {exc}") from None
-    expected = [f"x{a + 1}" for a in range(grid.n)] + ["blade", "re", "im"]
-    reader = csv.reader(body)
-    header = next(reader, None)
-    if header != expected:
+    if header != [f"x{a + 1}" for a in range(grid.n)] + ["blade", "re", "im"]:
         raise ConfigError(f"{path}: unexpected header {header!r}")
-    vals = np.zeros(grid.shape + (grid.blades,), dtype=complex)
-    for row in reader:
-        if len(row) != len(expected):
-            raise ConfigError(f"{path}: malformed row {row!r}")
+    return grid
+
+
+def _data_lines(text: str) -> list[str]:
+    """The lines of ``text`` that np.loadtxt reads as rows, in order."""
+    lines = (line.rstrip("\r") for line in text.split("\n"))
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _inline_comment(text: str) -> str | None:
+    """First line of ``text`` (which starts with a newline) holding a ``#`` after column 0."""
+    at = text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        if at != start:
+            return text[start : end if end >= 0 else None].rstrip("\r")
+        if end < 0:
+            return None
+        at = text.find("#", end)
+    return None
+
+
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> str:
+    """The first line that np.loadtxt refuses, found by bisection; ``lines`` holds one."""
+    while len(lines) > 1:
+        half = len(lines) // 2
         try:
-            site = tuple(int(tok) for tok in row[: grid.n])
-            re, im = float(row[-2]), float(row[-1])
+            np.loadtxt(lines[:half], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            lines = lines[half:]
         except ValueError:
-            raise ConfigError(f"{path}: malformed row {row!r}") from None
-        for axis, (j, N) in enumerate(zip(site, grid.shape)):
-            if not (0 <= j < N):
-                raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
-        label = row[grid.n]
-        try:
-            mask = blade_mask(grid.sig, [int(tok) for tok in label.split("·")]) if label else 0
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad blade label {label!r}: {exc}") from None
-        vals[site + (mask,)] = complex(re, im)
+            lines = lines[:half]
+    return lines[0]
+
+
+def _parse_rows(path: str, text: str, dtype: np.dtype) -> np.ndarray:
+    """Rows of ``text`` (whole lines after a leading newline, no blank ones) as a record array."""
+    bad = _inline_comment(text)
+    if bad is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # text of comments only holds no rows
+            try:
+                return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments="#", ndmin=1)
+            except ValueError:
+                bad = _first_bad_line(_data_lines(text), dtype)
+    raise ConfigError(f"{path}: malformed row {bad.split(',')!r}")
+
+
+def _parse_blade(path: str, grid: GridSpec, label: str) -> int:
+    try:
+        return blade_mask(grid.sig, [int(tok) for tok in label.split("·")]) if label else 0
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad blade label {label!r}: {exc}") from None
+
+
+def load_field(path: str) -> LatticeField:
+    """Inverse of store_field (bit-exact for finite values).
+
+    Rows are parsed ``_CHUNK_CHARS`` of text at a time by ``np.loadtxt``, then
+    range-checked, mapped to blade masks through a sorted table of the grid's
+    canonical labels and scattered into the field as arrays.  A label outside
+    the table (another spelling of a blade, or an invalid one) is parsed from
+    its line as written.  A repeated (site, blade) row keeps its last value.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            grid = _read_grid(fh, path)
+            canonical = [_blade_label(mask) for mask in range(grid.blades)]
+            width = max(map(len, canonical)) + 1  # spare character: a truncated long label matches none
+            dtype = np.dtype(
+                [(f"x{a + 1}", np.int64) for a in range(grid.n)]
+                + [("blade", f"U{width}"), ("re", np.float64), ("im", np.float64)]
+            )
+            masks_by_label = np.argsort(canonical)
+            labels = np.array(canonical, dtype=dtype["blade"])[masks_by_label]
+            vals = np.zeros(grid.shape + (grid.blades,), dtype=complex)
+            for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""):
+                # a leading newline puts every line, the first too, after a "\n"
+                text = _BLANK_LINE.sub("\n", "\n" + chunk + fh.readline())
+                rows = _parse_rows(path, text, dtype)
+                sites = tuple(rows[f"x{a + 1}"] for a in range(grid.n))
+                for axis, (col, N) in enumerate(zip(sites, grid.shape)):
+                    outside = (col < 0) | (col >= N)
+                    if outside.any():
+                        j = col[outside.argmax()]
+                        raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
+                at = np.minimum(np.searchsorted(labels, rows["blade"]), grid.blades - 1)
+                masks = masks_by_label[at]
+                unmatched = np.flatnonzero(labels[at] != rows["blade"])
+                if unmatched.size:
+                    lines = _data_lines(text)
+                    for i in unmatched:
+                        masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
+                vals.real[sites + (masks,)] = rows["re"]
+                vals.imag[sites + (masks,)] = rows["im"]
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
     return LatticeField(grid, vals)
 
 
@@ -544,6 +623,8 @@ def cmd_evolve(args) -> int:
             residuals.setdefault(kind, {})[repr(float(t))] = float(value)
         worst = _worst(residuals)
         if worst is not None and not math.isfinite(worst):
+            for name in files:  # a failed run leaves no field behind
+                os.remove(os.path.join(outdir, name))
             return _enforce_tolerance(args, worst)  # before this slice is written
         name = f"field_{idx:03d}.csv"
         store_field(psi, os.path.join(outdir, name))

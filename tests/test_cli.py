@@ -494,3 +494,15 @@ def test_failing_run_prints_one_stderr_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == ["numerical guard: non-finite residual nan"]
     assert list(out.iterdir()) == []
+
+
+def test_non_finite_residual_at_a_later_time_removes_earlier_fields(tmp_path, capsys):
+    # the first time is finite and written; the second overflows to a NaN residual
+    data = _stored_1d(tmp_path, "big.csv", [1e100, -1e100, 1e100, -1e100, 1e100, -1e100, 1e100, -1e100])
+    cfg = {**KG, "time_model": "central_difference", "tau": 1.5, "times": "1.5,300.0",
+           "initial_data": "file", "path": data}
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", _config(tmp_path, **cfg), "--out", str(out), "--allow-unstable"]) == 3
+    assert capsys.readouterr().err == "numerical guard: non-finite residual nan\n"
+    assert list(out.glob("field_*.csv")) == []
+    assert not (out / "metadata.json").exists()
