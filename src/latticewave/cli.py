@@ -250,6 +250,8 @@ def load_config(path: str) -> tuple[dict[str, object], dict[str, str]]:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     raw = parse_config(text)
     cfg = {key: _PARSERS[key](key, value) for key, value in raw.items()}
     _cross_validate(cfg)
@@ -479,6 +481,8 @@ def load_field(path: str) -> LatticeField:
                 vals.imag[sites + (masks,)] = rows["im"]
     except OSError as exc:
         raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return LatticeField(grid, vals)
 
 

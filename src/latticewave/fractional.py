@@ -17,10 +17,13 @@ and the subordination integral
 
     1/Gamma(alpha) * int_0^inf t^{alpha-1} e^{-t m^2} exp(t Laplacian) dt
 
-evaluated by a log-substituted trapezoid rule over heat-semigroup calls,
-with a two-term analytic head below the first node and an endpoint
+evaluated by a log-substituted trapezoid rule over heat multipliers, with
+a two-term analytic head below the first node and an endpoint
 (Euler-Maclaurin) correction; cross-checking the two is the point.  The
-Riesz-type operator (D - m gamma)(-Laplacian + m^2)^{-alpha} and its
+rule is linear in the heat multiplier, so its weights are summed on the
+momentum grid and the field is transformed once.
+
+The Riesz-type operator (D - m gamma)(-Laplacian + m^2)^{-alpha} and its
 inverse share the exponent machinery, and the fractional kernel route
 rebuilds the ordinary Klein-Gordon solution with the alpha-powers
 cancelling spectrally.
@@ -60,11 +63,18 @@ ML_MAX_ABS = 30.0
 # -- heat ----------------------------------------------------------------------
 
 
+def _heat_time(s: float) -> float:
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"heat time s must be finite, got {s}")
+    if s < 0:
+        raise ValueError(f"heat time s must be nonnegative, got {s}")
+    return s
+
+
 def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
     """exp(s Laplacian) f via the multiplier e^{-s d(xi)^2}; s >= 0."""
-    s = float(s)
-    if s < 0:
-        raise ValueError(f"heat time must be nonnegative, got {s}")
+    s = _heat_time(s)
     return multiply_field(f, np.exp(-s * d2_field(f.grid)))
 
 
@@ -74,33 +84,38 @@ def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:
     Normalized so that convolve(kernel, f) equals heat_semigroup(f, s); at
     s = 0 this is the convolution identity h^-n delta.
     """
-    s = float(s)
-    if s < 0:
-        raise ValueError(f"heat time must be nonnegative, got {s}")
+    s = _heat_time(s)
     return (2.0 * np.pi) ** (-grid.n / 2.0) * scalar_kernel(grid, np.exp(-s * d2_field(grid)))
 
 
 def _periodized_bessel(N: int, u: float) -> np.ndarray:
-    """I~_x(u) = sum_{w in Z} I_{x + wN}(u) for x = 0..N-1, truncated at 1e-16."""
-    out = np.empty(N)
-    for x in range(N):
-        acc = bessel_i(x, u)
-        w = 1
-        while True:
-            ring = bessel_i(x + w * N, u) + bessel_i(x - w * N, u)
-            acc += ring
-            if ring < 1e-16 * max(acc, 1e-300):
-                break
-            w += 1
-        out[x] = acc
+    """I~_x(u) = sum_{w in Z} I_{x + wN}(u) for x = 0..N-1, truncated at 1e-16.
+
+    Site x adds the ring I_{x+wN} + I_{|x-wN|} for w = 1, 2, ... and stops
+    after the first ring below 1e-16 of its sum.  The first series
+    evaluation covers the orders below 3N, i.e. the rings w <= 2: sites near
+    N/2 always need ring 2, since I_{N-x} is as large as I_x there.  It is
+    extended (at least doubled) when a ring runs past it.
+    """
+    vals = _bessel_series(np.arange(3 * N), u)
+    out = vals[:N].copy()
+    live = np.arange(N)
+    w = 1
+    while live.size:
+        need = (w + 1) * N
+        if need > vals.size:
+            vals = np.concatenate([vals, _bessel_series(np.arange(vals.size, max(need, 2 * vals.size)), u)])
+        ring = vals[live + w * N] + vals[w * N - live]
+        acc = out[live] + ring
+        out[live] = acc
+        live = live[~(ring < 1e-16 * np.maximum(acc, 1e-300))]
+        w += 1
     return out
 
 
 def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
     """Closed-form heat kernel h^-n e^{-2ns/h^2} prod_j I~_{x_j}(2s/h^2)."""
-    s = float(s)
-    if s < 0:
-        raise ValueError(f"heat time must be nonnegative, got {s}")
+    s = _heat_time(s)
     u = 2.0 * s / grid.h**2
     if u > BESSEL_MAX_ARG:
         raise ValueError(f"2s/h^2 = {u:.3g} exceeds the Bessel overflow guard {BESSEL_MAX_ARG}")
@@ -116,34 +131,52 @@ def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
 # -- special functions -----------------------------------------------------------
 
 
-def bessel_i(k: int, u: float) -> float:
-    """Modified Bessel I_k(u) for integer k, 0 <= u <= 700, by its power series.
+def _bessel_series(orders: np.ndarray, u: float) -> np.ndarray:
+    """I_k(u) for an array of orders k >= 0 at one finite u in [0, 700].
 
-    All series terms are positive, so no cancellation occurs; the leading
-    term is seeded through lgamma and underflow is returned as exact zero
-    (the true value is then far below double precision).
+    All series terms are positive, so no cancellation occurs.  The leading
+    term of each order is seeded through lgamma and underflow is returned as
+    exact zero (the true value is then far below double precision).  Every
+    order runs the same scalar recurrence and stops at its own term.
     """
-    k = abs(int(k))
-    u = float(u)
-    if u < 0:
-        raise ValueError(f"argument must be nonnegative, got {u}")
-    if u > BESSEL_MAX_ARG:
-        raise ValueError(f"argument {u:.3g} exceeds the overflow guard {BESSEL_MAX_ARG}")
+    orders = np.asarray(orders, dtype=np.int64)
     if u == 0.0:
-        return 1.0 if k == 0 else 0.0
+        return (orders == 0).astype(float)
     half = u / 2.0
-    lead = k * math.log(half) - math.lgamma(k + 1)
-    if lead < -745.0:
-        return 0.0
-    term = math.exp(lead)
-    acc = term
+    out = np.zeros(orders.shape)
+    # seeded with the math module per order: np.exp can differ in the last bit
+    lead = np.array([int(k) * math.log(half) - math.lgamma(int(k) + 1) for k in orders])
+    live = np.flatnonzero(lead >= -745.0)
+    if not live.size:
+        return out
+    term = np.array([math.exp(x) for x in lead[live]])
+    acc = term.copy()
+    k = orders[live]
     h2 = half * half
     for j in range(1, 20000):
         term *= h2 / (j * (j + k))
         acc += term
-        if term <= acc * 1e-17:
-            return acc
+        done = term <= acc * 1e-17
+        if done.any():
+            out[live[done]] = acc[done]
+            keep = ~done
+            live, term, acc, k = live[keep], term[keep], acc[keep], k[keep]
+            if not live.size:
+                return out
     raise RuntimeError("Bessel series failed to converge")  # pragma: no cover
+
+
+def bessel_i(k: int, u: float) -> float:
+    """Modified Bessel I_k(u) for integer k, 0 <= u <= 700, by its power series."""
+    k = abs(int(k))
+    u = float(u)
+    if not math.isfinite(u):
+        raise ValueError(f"Bessel argument u must be finite, got {u}")
+    if u < 0:
+        raise ValueError(f"Bessel argument u must be nonnegative, got {u}")
+    if u > BESSEL_MAX_ARG:
+        raise ValueError(f"Bessel argument u = {u:.3g} exceeds the overflow guard {BESSEL_MAX_ARG}")
+    return float(_bessel_series(np.array([k]), u)[0])
 
 
 def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
@@ -254,27 +287,27 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
         raise ValueError("quadrature window is empty; raise t_max or loosen head_tol")
     u = np.linspace(lo, hi, int(p.nodes))
     du = u[1] - u[0]
-    # every node applies the heat multiplier to the same transform of f
-    F = dft(f)
+    # the rule is linear in the heat multiplier, so it is summed on the symbol
+    # and applied to f with one transform pair
     d2 = d2_field(f.grid)
 
-    def g(uv: float) -> LatticeField:
+    def w(uv: float) -> np.ndarray:
         t = math.exp(uv)
-        return (t**alpha * math.exp(-t * m * m)) * idft(apply_multiplier(F, np.exp(-t * d2)))
+        return (t**alpha * math.exp(-t * m * m)) * np.exp(-t * d2)
 
-    def g_prime(uv: float, gv: LatticeField) -> LatticeField:
+    def w_prime(uv: float, wv: np.ndarray) -> np.ndarray:
+        # symbol of alpha g + t (Laplacian g - m^2 g)
         t = math.exp(uv)
-        return alpha * gv + t * (discrete_laplacian(gv) - m * m * gv)
+        return (alpha - t * (d2 + m * m)) * wv
 
-    g_lo = g(u[0])
-    g_hi = g(u[-1])
-    acc = 0.5 * (g_lo + g_hi)
+    w_lo = w(u[0])
+    w_hi = w(u[-1])
+    acc = 0.5 * (w_lo + w_hi)
     for uv in u[1:-1]:
-        acc = acc + g(float(uv))
-    del F  # released before the correction below, the memory peak of the quadrature
-    total = du * acc
+        acc += w(float(uv))
     # endpoint (Euler-Maclaurin) correction removes the O(du^2) trapezoid bias
-    total = total - du * du / 12.0 * (g_prime(hi, g_hi) - g_prime(lo, g_lo))
+    weights = du * acc - du * du / 12.0 * (w_prime(hi, w_hi) - w_prime(lo, w_lo))
+    total = multiply_field(f, weights)
     head = (t0**alpha / alpha) * f + (t0 ** (1.0 + alpha) / (1.0 + alpha)) * (
         discrete_laplacian(f) - m * m * f
     )

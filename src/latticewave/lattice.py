@@ -67,12 +67,12 @@ class GridSpec:
         for N in shape:
             if N <= 0 or N % 2 != 0:
                 raise ValueError(f"points per axis must be even and positive, got {N}")
-        if not (self.h > 0):
-            raise ValueError(f"spacing h must be positive, got {self.h}")
+        if not (0 < self.h < np.inf):
+            raise ValueError(f"spacing h must be positive and finite, got {self.h}")
         if not (0.0 <= self.alpha <= 0.5):
             raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
-        if self.mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {self.mass}")
+        if not (0 <= self.mass < np.inf):
+            raise ValueError(f"mass must be nonnegative and finite, got {self.mass}")
 
     @property
     def n(self) -> int:

@@ -285,6 +285,27 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_field_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# shape=8\n# spacing=1.0\n# alpha=0.0\n# mass=1.0\nx1,blade,re,im\n0,\xff,1.0,0.0\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_field(str(path))
+    cfg = _config(tmp_path, **{**KG, "initial_data": "file", "path": str(path)})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.csv" in err
+    assert "numerical guard" not in err
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"points = 8\n# \xff\n")
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.cfg" in err
+    assert "numerical guard" not in err
+
+
 def test_tolerance_enforcement(tmp_path, capsys):
     cfg = {**KG, "time_model": "central_difference", "tau": 0.5, "times": "1.0"}
     path = _config(tmp_path, "tol.cfg", **cfg)

@@ -268,3 +268,10 @@ def test_over_long_label_is_quoted_as_written(tmp_path, chunk):
 )
 def test_bad_preamble_raises_the_same_error(tmp_path, edit):
     _assert_same_error(_write(tmp_path, "bad.csv", edit(HEAD + GOOD)))
+
+
+@pytest.mark.parametrize("key, value", [("spacing", "inf"), ("mass", "nan"), ("mass", "inf")])
+def test_non_finite_grid_metadata_is_bad_metadata(tmp_path, key, value):
+    text = re.sub(rf"# {key}=[^\n]*", f"# {key}={value}", HEAD + GOOD)
+    message = _assert_same_error(_write(tmp_path, "bad.csv", text))
+    assert "bad grid metadata" in message

@@ -34,6 +34,7 @@ from latticewave import (
     solve_kg,
     solve_kg_fractional,
 )
+from latticewave import fractional
 from latticewave.lattice import norm
 
 
@@ -175,6 +176,90 @@ def test_bessel_edge_cases():
         bessel_i(0, -1.0)
     with pytest.raises(ValueError):
         bessel_i(0, 701.0)
+
+
+# -- the vectorized Bessel series, pinned to the scalar loops it replaced --------------
+
+
+def _ref_bessel_i(k, u):
+    k = abs(int(k))
+    u = float(u)
+    if u == 0.0:
+        return 1.0 if k == 0 else 0.0
+    half = u / 2.0
+    lead = k * math.log(half) - math.lgamma(k + 1)
+    if lead < -745.0:
+        return 0.0
+    term = math.exp(lead)
+    acc = term
+    h2 = half * half
+    for j in range(1, 20000):
+        term *= h2 / (j * (j + k))
+        acc += term
+        if term <= acc * 1e-17:
+            return acc
+    raise RuntimeError("Bessel series failed to converge")
+
+
+def _ref_periodized_bessel(N, u):
+    out = np.empty(N)
+    for x in range(N):
+        acc = _ref_bessel_i(x, u)
+        w = 1
+        while True:
+            ring = _ref_bessel_i(x + w * N, u) + _ref_bessel_i(x - w * N, u)
+            acc += ring
+            if ring < 1e-16 * max(acc, 1e-300):
+                break
+            w += 1
+        out[x] = acc
+    return out
+
+
+BESSEL_US = [0.0, 1e-300, 1e-9] + [float(u) for u in np.linspace(25.0, 700.0, 10)]
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 256])
+def test_periodized_bessel_is_bit_identical_to_the_scalar_loop(N):
+    for u in BESSEL_US:
+        assert fractional._periodized_bessel(N, u).tobytes() == _ref_periodized_bessel(N, u).tobytes(), u
+
+
+def test_bessel_series_is_bit_identical_to_the_scalar_loop():
+    # negative orders, and orders whose leading term underflows (lead < -745)
+    orders = [-300, -7, -1, 0, 1, 2, 5, 37, 255, 300, 400, 900, 2000, 5000]
+    for u in BESSEL_US:
+        want = np.array([_ref_bessel_i(k, u) for k in orders])
+        got = np.array([bessel_i(k, u) for k in orders])
+        assert got.tobytes() == want.tobytes(), u
+        series = fractional._bessel_series(np.abs(orders), u)
+        assert series.tobytes() == want.tobytes(), u
+    assert _ref_bessel_i(400, 25.0) == 0.0 and _ref_bessel_i(2, 1e-300) == 0.0  # the underflow rule is exercised
+
+
+def test_bessel_series_with_no_live_order_returns_at_once():
+    assert fractional._bessel_series(np.array([], dtype=int), 3.0).shape == (0,)
+    assert not fractional._bessel_series(np.array([2000, 5000]), 1.0).any()
+    # a NaN argument leaves no live order, so the series cannot spin on it
+    assert not fractional._bessel_series(np.arange(4), math.nan).any()
+
+
+# -- non-finite heat times and Bessel arguments ---------------------------------------
+
+NON_FINITE_CALLS = {
+    "heat_semigroup": (lambda v: heat_semigroup(LatticeField.delta(_grid1(N=8)), v), "heat time s must be finite"),
+    "heat_kernel_spectral": (lambda v: heat_kernel_spectral(_grid1(N=8), v), "heat time s must be finite"),
+    "heat_kernel_bessel": (lambda v: heat_kernel_bessel(_grid1(N=8), v), "heat time s must be finite"),
+    "bessel_i": (lambda v: bessel_i(0, v), "Bessel argument u must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(NON_FINITE_CALLS))
+def test_non_finite_argument_is_rejected(name, value):
+    call, message = NON_FINITE_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_mittag_leffler_classical_identities():

@@ -32,6 +32,17 @@ def test_grid_validation():
         GridSpec((8,), 1.0, mass=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(h=float("inf")), dict(h=float("nan")), dict(mass=float("nan")), dict(mass=float("inf")),
+     dict(alpha=float("nan"))],
+    ids=["h-inf", "h-nan", "mass-nan", "mass-inf", "alpha-nan"],
+)
+def test_grid_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError):
+        GridSpec((4,), **{"h": 1.0, **kwargs})
+
+
 def test_grid_refinement():
     g = GridSpec((8, 4), 0.5, alpha=0.25, mass=1.0)
     r = g.refined()

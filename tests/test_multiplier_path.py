@@ -7,6 +7,10 @@ and transforms back goes through ``spectral.multiply_field``,
 them out by hand, the way each function used to do it, and the tests demand
 identical bytes (``tobytes()``, so even the sign of a zero counts) on 1D-3D
 grids, for real scalar, random scalar-only and random all-blade fields.
+
+Subordination is the exception: its reference sums the quadrature weights on
+the symbol, as the function now does, and ``_per_node_subordination`` keeps
+the per-node rule it replaced, which the new one must match to 1e-14.
 """
 
 import math
@@ -39,7 +43,7 @@ from latticewave import (
     wave_kernels,
 )
 from latticewave.clifford import mul_arrays, pseudoscalar
-from latticewave.lattice import discrete_laplacian, norm
+from latticewave.lattice import discrete_laplacian, norm, relative_gap
 from latticewave.propagators import continuous_dirac_residual, continuous_kg_residual, lambda_field, lambda_max
 from latticewave.spectral import SpectralField, apply_multiplier, d2_field, dft, idft, z_field
 
@@ -97,13 +101,47 @@ def _ref_frac_power_spectral(f, p):
     return idft(SpectralField(f.grid, F.values * mult[..., None]))
 
 
-def _ref_frac_power_subordination(f, p):
+def _subordination_window(f, p):
     alpha, m = p.alpha, p.m
     gamma_a = math.gamma(alpha)
     lam4 = lambda_max(f.grid, m) ** 4
     t0 = (p.head_tol * 2.0 * (2.0 + alpha) * gamma_a / lam4) ** (1.0 / (2.0 + alpha))
     lo, hi = math.log(t0), math.log(p.upper_cutoff())
-    u = np.linspace(lo, hi, int(p.nodes))
+    return gamma_a, t0, lo, hi, np.linspace(lo, hi, int(p.nodes))
+
+
+def _subordination_head(f, p, t0):
+    alpha, m = p.alpha, p.m
+    return (t0**alpha / alpha) * f + (t0 ** (1.0 + alpha) / (1.0 + alpha)) * (discrete_laplacian(f) - m * m * f)
+
+
+def _ref_frac_power_subordination(f, p):
+    # the trapezoid weights summed on the momentum grid, applied by one transform pair
+    alpha, m = p.alpha, p.m
+    gamma_a, t0, lo, hi, u = _subordination_window(f, p)
+    du = u[1] - u[0]
+    d2 = d2_field(f.grid)
+
+    def weight(uv):
+        t = math.exp(uv)
+        return (t**alpha * math.exp(-t * m * m)) * np.exp(-t * d2)
+
+    def weight_prime(uv):
+        t = math.exp(uv)
+        return (alpha - t * (d2 + m * m)) * weight(uv)
+
+    acc = 0.5 * (weight(u[0]) + weight(u[-1]))
+    for uv in u[1:-1]:
+        acc += weight(float(uv))
+    q = du * acc - du * du / 12.0 * (weight_prime(hi) - weight_prime(lo))
+    total = idft(SpectralField(f.grid, dft(f).values * q[..., None]))
+    return (1.0 / gamma_a) * (total + _subordination_head(f, p, t0))
+
+
+def _per_node_subordination(f, p):
+    # the rule as it was first written: one heat semigroup per node, in position space
+    alpha, m = p.alpha, p.m
+    gamma_a, t0, lo, hi, u = _subordination_window(f, p)
     du = u[1] - u[0]
 
     def g(uv):
@@ -121,8 +159,7 @@ def _ref_frac_power_subordination(f, p):
         acc = acc + g(float(uv))
     total = du * acc
     total = total - du * du / 12.0 * (g_prime(hi, g_hi) - g_prime(lo, g_lo))
-    head = (t0**alpha / alpha) * f + (t0 ** (1.0 + alpha) / (1.0 + alpha)) * (discrete_laplacian(f) - m * m * f)
-    return (1.0 / gamma_a) * (total + head)
+    return (1.0 / gamma_a) * (total + _subordination_head(f, p, t0))
 
 
 def _ref_riesz_like(f, p, exponent):
@@ -205,6 +242,11 @@ def test_frac_power_spectral(field):
 
 def test_frac_power_subordination(field):
     _same(frac_power(field, PARAMS, "subordination"), _ref_frac_power_subordination(field, PARAMS))
+
+
+def test_symbol_side_subordination_matches_per_node_rule(field):
+    got = frac_power(field, PARAMS, "subordination")
+    assert relative_gap(got, _per_node_subordination(field, PARAMS)) <= 1e-14
 
 
 def test_riesz_and_inverse(field):
@@ -310,5 +352,5 @@ def test_subordination_transforms_its_field_once(monkeypatch):
     f = random_field(GridSpec((4, 4), 0.8), np.random.default_rng(3))
     calls = _count_transforms(monkeypatch)
     frac_power(f, FracParams(0.25, 1.0), "subordination")
-    assert calls == {"dft": 1, "idft": 200}
+    assert calls == {"dft": 1, "idft": 1}
 
