@@ -151,7 +151,10 @@ def _int_list(key: str, raw: str) -> list[int]:
 
 
 def _alpha_list(key: str, raw: str) -> list[float]:
-    return [_alpha_range(key, tok.strip()) for tok in raw.split(",")]
+    out = [_alpha_range(key, tok.strip()) for tok in raw.split(",")]
+    if len(set(out)) < len(out):  # 0.0 == -0.0, so a signed zero repeats too
+        raise ConfigError(f"{key}: repeats a value in {raw!r}")
+    return out
 
 
 def _points(key: str, raw: str) -> int:
@@ -866,6 +869,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         threads = getattr(args, "threads", None)
         if threads is not None and threads < 1:
             raise ConfigError(f"--threads: must be at least 1, got {threads}")
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not 0.0 <= tolerance < math.inf:
+            raise ConfigError(f"--tolerance: must be finite and at least 0, got {tolerance}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

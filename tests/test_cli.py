@@ -312,6 +312,21 @@ def test_tolerance_enforcement(tmp_path, capsys):
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "a"), "--tolerance", "1e-12"]) == 0
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "b"), "--tolerance", "1e-30"]) == 3
     assert "tolerance exceeded" in capsys.readouterr().err
+    # zero is a valid tolerance: the run goes ahead and any residual breaches it
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "c"), "--tolerance", "0"]) == 3
+    assert "tolerance exceeded" in capsys.readouterr().err
+    assert json.loads((tmp_path / "c" / "metadata.json").read_text())["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["evolve", "spectrum"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, value):
+    cfg = _config(tmp_path, **KG) if command == "evolve" else _config(tmp_path, dim=1, points=4, spacing=1.0)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--tolerance", value]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: --tolerance: must be finite and at least 0, got {float(value)}"]
+    assert not out.exists()
 
 
 def _stored_1d(tmp_path, name, scalar_column):
@@ -449,6 +464,16 @@ def test_spectrum_zone_diagnostics(tmp_path):
         if xi == 0.0:
             assert d2 == 0.0 and z_norm <= 1e-15
         assert abs(z_norm**2 - d2) <= 1e-10 * max(1.0, d2)
+
+
+@pytest.mark.parametrize("alphas", ["0.25, 0.25", "0.0, 0.5, -0.0"])
+def test_spectrum_rejects_repeated_alphas(tmp_path, capsys, alphas):
+    # repeats would write duplicate rows under one metadata summary key
+    out = tmp_path / "o"
+    cfg = _config(tmp_path, dim=1, points=4, spacing=1.0, alphas=alphas)
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: alphas: repeats a value")
+    assert not out.exists()
 
 
 def test_spectrum_default_alphas(tmp_path):
