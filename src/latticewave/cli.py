@@ -44,7 +44,7 @@ from .fractional import (
     heat_semigroup,
     solve_kg_fractional,
 )
-from .lattice import GridSpec, LatticeField, relative_gap
+from .lattice import GridSpec, LatticeField, align, relative_gap
 from .propagators import (
     CauchyData,
     TimeModel,
@@ -300,7 +300,7 @@ def build_field(cfg: dict[str, object], grid: GridSpec, role: str) -> LatticeFie
     f = load_field(cfg[path_key])
     if f.grid != grid:
         raise ConfigError(f"{path_key}: stored grid {f.grid} does not match the configured grid {grid}")
-    if not np.all(np.isfinite(f.values)):
+    if not np.isfinite(f.columns).all():
         raise ConfigError(f"{path_key}: field file {cfg[path_key]} holds non-finite values")
     return f
 
@@ -321,23 +321,21 @@ def _grid_comments(grid: GridSpec) -> str:
     )
 
 
-def _blade_order(grid: GridSpec) -> list[int]:
-    return sorted(range(grid.blades), key=blade_indices)
-
-
-def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: np.ndarray) -> None:
+def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: LatticeField) -> None:
     """Header plus one row per site and blade where any of ``fields`` is nonzero.
 
-    Each field contributes a ``repr`` real and imaginary column.  Values are
+    Each field contributes a ``repr`` real and imaginary column.  Blades run
+    in canonical order over the union of the fields' supports.  Values are
     gathered one slab of the leading axis at a time and rows are streamed
     to ``fh``, so no row strings accumulate in memory.
     """
     fh.write(",".join([f"x{a + 1}" for a in range(grid.n)] + list(columns)) + "\n")
-    order = _blade_order(grid)
-    labels = [_blade_label(mask) + "," for mask in order]
+    support, cols = align(*fields)
+    order = sorted(range(len(support)), key=lambda c: blade_indices(support[c]))
+    labels = [_blade_label(support[c]) + "," for c in order]
     tails = ["".join(f"{j}," for j in site) for site in np.ndindex(grid.shape[1:])]
     for i in range(grid.shape[0]):
-        slabs = [f[i].reshape(-1, grid.blades)[:, order] for f in fields]
+        slabs = [f[i].reshape(len(tails), -1)[:, order] for f in cols]
         hit = slabs[0] != 0
         for slab in slabs[1:]:
             hit |= slab != 0
@@ -345,11 +343,11 @@ def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: np.ndarray)
         parts = []
         for slab in slabs:
             v = slab[sites, blades]
-            parts += [v.real.tolist(), v.imag.tolist()]
+            parts += [map(repr, v.real.tolist()), map(repr, v.imag.tolist())]
         head = f"{i},"
         fh.writelines(
-            f"{head}{tails[site]}{labels[b]}{','.join(map(repr, vals))}\n"
-            for site, b, *vals in zip(sites.tolist(), blades.tolist(), *parts)
+            f"{head}{tails[site]}{labels[b]}{vals}\n"
+            for site, b, vals in zip(sites.tolist(), blades.tolist(), map(",".join, zip(*parts)))
         )
 
 
@@ -357,7 +355,7 @@ def store_field(f: LatticeField, path: str) -> None:
     """Write a field as CSV; exactly-zero coefficients are omitted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_grid_comments(f.grid))
-        _write_rows(fh, f.grid, ["blade", "re", "im"], f.values)
+        _write_rows(fh, f.grid, ["blade", "re", "im"], f)
 
 
 _CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
@@ -447,9 +445,9 @@ def load_field(path: str) -> LatticeField:
 
     Rows are parsed ``_CHUNK_CHARS`` of text at a time by ``np.loadtxt``, then
     range-checked, mapped to blade masks through a sorted table of the grid's
-    canonical labels and scattered into the field as arrays.  A label outside
-    the table (another spelling of a blade, or an invalid one) is parsed from
-    its line as written.  A repeated (site, blade) row keeps its last value.
+    canonical labels and scattered into the columns of the blades with rows.
+    A label outside the table (another spelling or an invalid one) is parsed
+    from its line as written; a repeated (site, blade) row keeps its last value.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -462,7 +460,7 @@ def load_field(path: str) -> LatticeField:
             )
             masks_by_label = np.argsort(canonical)
             labels = np.array(canonical, dtype=dtype["blade"])[masks_by_label]
-            vals = np.zeros(grid.shape + (grid.blades,), dtype=complex)
+            f = LatticeField.zeros(grid)
             for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""):
                 # a leading newline puts every line, the first too, after a "\n"
                 text = _BLANK_LINE.sub("\n", "\n" + chunk + fh.readline())
@@ -480,13 +478,15 @@ def load_field(path: str) -> LatticeField:
                     lines = _data_lines(text)
                     for i in unmatched:
                         masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
-                vals.real[sites + (masks,)] = rows["re"]
-                vals.imag[sites + (masks,)] = rows["im"]
+                f = f._widened(masks)  # rows of a new blade widen the support
+                at = np.searchsorted(f.support, masks)
+                f.columns.real[sites + (at,)] = rows["re"]
+                f.columns.imag[sites + (at,)] = rows["im"]
     except OSError as exc:
         raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return LatticeField(grid, vals)
+    return f
 
 
 def _store_heat_pair(kb: LatticeField, ks: LatticeField, s: float, path: str) -> None:
@@ -495,7 +495,7 @@ def _store_heat_pair(kb: LatticeField, ks: LatticeField, s: float, path: str) ->
         fh.write(_grid_comments(kb.grid))
         fh.write(f"# s={float(s)!r}\n")
         columns = ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
-        _write_rows(fh, kb.grid, columns, kb.values, ks.values)
+        _write_rows(fh, kb.grid, columns, kb, ks)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -40,6 +40,7 @@ __all__ = [
     "pseudoscalar",
     "norm_squared",
     "mul_arrays",
+    "mul_columns",
     "active_blades",
     "dagger_arrays",
     "blade_mask",
@@ -116,6 +117,43 @@ def active_blades(arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(flat.any(axis=0))
 
 
+def _product(n: int, sa: np.ndarray, a: np.ndarray, sb: np.ndarray, b: np.ndarray, dense: bool):
+    # the one column-level product behind mul_columns and mul_arrays; with
+    # ``dense`` it accumulates straight into all 4**n blades
+    sign, _ = _tables(n)
+    size = 1 << (2 * n)
+    targets = sa[:, None] ^ sb[None, :]
+    support = None
+    if not dense:
+        hit = np.zeros(size, dtype=bool)
+        hit[targets] = True
+        support = np.flatnonzero(hit)
+        targets = (np.cumsum(hit) - 1)[targets]
+    signs = sign[sa[:, None], sb[None, :]]
+    width = size if dense else support.size
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,), dtype=complex)
+    for col in range(sa.size):
+        # j -> i ^ j is one to one, so fancy-index accumulation is safe here
+        out[..., targets[col]] += a[..., col, None] * (signs[col] * b)
+    return support, out
+
+
+def mul_columns(n: int, sa, a: np.ndarray, sb, b: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Pointwise geometric product of blade columns: ``(support, columns)``.
+
+    ``a`` holds on its last axis the columns of the ascending blade masks
+    ``sa``, ``b`` those of ``sb``; leading axes broadcast, and the first
+    argument multiplies from the left.  The product lives on the XOR
+    closure of the two supports.  Each left blade ``i`` contributes one
+    signed permutation of ``b``'s columns (blade ``j`` lands on ``i ^ j``
+    with sign ``sign[i, j]``), and every output column sums its terms in
+    ascending order of the left blade, starting from zero, exactly as a
+    dense double loop over the same supports does.
+    """
+    support, out = _product(n, np.asarray(sa, dtype=np.intp), a, np.asarray(sb, dtype=np.intp), b, False)
+    return tuple(support.tolist()), out
+
+
 def mul_arrays(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise geometric product of blade-coefficient arrays.
 
@@ -123,27 +161,19 @@ def mul_arrays(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The first argument multiplies from the left (the product does not
     commute).
 
-    Only blade pairs in support(a) x support(b) are visited, where the
-    support of an array is the set of blades nonzero at some site.  Every
-    output blade sums its terms in ascending order of the left blade, as a
-    dense double loop would, so skipping the zero pairs changes at most the
-    sign of an exact zero (and drops ``inf * 0`` / ``nan * 0`` terms).
+    The supports (blades nonzero at some site) are read off the arrays and
+    the column-level product of ``mul_columns`` runs on them, accumulating
+    into the dense result.  Skipping the zero pairs changes at most the sign
+    of an exact zero (and drops ``inf * 0`` / ``nan * 0`` terms) against a
+    dense double loop.
     """
-    sign, _ = _tables(n)
     size = 1 << (2 * n)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape[-1] != size or b.shape[-1] != size:
         raise ValueError(f"coefficient arrays must have last axis {size}")
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    act_b = active_blades(b)
-    if act_b.size < size:
-        b = b[..., act_b]
-    for i in active_blades(a):
-        # blade i times blade j lands on blade i ^ j; j -> i ^ j is one to
-        # one, so fancy-index accumulation is safe here.
-        out[..., act_b ^ i] += a[..., i, None] * (sign[i, act_b] * b)
-    return out
+    sa, sb = active_blades(a), active_blades(b)
+    return _product(n, sa, a if sa.size == size else a[..., sa], sb, b if sb.size == size else b[..., sb], True)[1]
 
 
 def dagger_arrays(n: int, arr: np.ndarray) -> np.ndarray:

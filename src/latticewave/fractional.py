@@ -38,7 +38,7 @@ import numpy as np
 
 from .lattice import GridSpec, LatticeField, discrete_laplacian
 from .propagators import CauchyData, TimeModel, lambda_field, lambda_max
-from .spectral import apply_multiplier, convolve, d2_field, dft, dirac_symbol, idft, multiply_field, scalar_kernel
+from .spectral import _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, multiply_field, scalar_kernel
 
 __all__ = [
     "FracParams",
@@ -315,8 +315,8 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
 
 
 def _riesz_like(f: LatticeField, p: FracParams, exponent: float) -> LatticeField:
-    zm = dirac_symbol(f.grid, p.alpha, p.m)
-    return multiply_field(f, zm * _power_multiplier(f.grid, p.m, exponent)[..., None])
+    zm = _dirac_symbol(f.grid, p.alpha, p.m)
+    return multiply_field(f, apply_multiplier(zm, _power_multiplier(f.grid, p.m, exponent)))
 
 
 def riesz(f: LatticeField, p: FracParams) -> LatticeField:
@@ -365,7 +365,7 @@ def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float,
     Its even part in t is the K0 propagation of phi and its odd part over i
     the first-order (Riesz-direction) term; at t = 0 it is the identity.
     """
-    zm = dirac_symbol(phi.grid, p.alpha, p.m)
+    zm = _dirac_symbol(phi.grid, p.alpha, p.m)
     c, s = time.multipliers(lambda_field(phi.grid, p.m), t, allow_unstable=allow_unstable)
     F = dft(phi)
     return idft(apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s))

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, discrete_laplacian, norm
-from .spectral import SpectralField, apply_multiplier, convolve, d2_field, dft, dirac_symbol, idft, scalar_kernel
+from .lattice import GridSpec, LatticeField, align, discrete_laplacian, norm
+from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
 from .umbral import (
     CflViolationError,
     DeltaOperator,
@@ -72,8 +72,8 @@ class TimeModel:
 
     @classmethod
     def central_difference(cls, tau: float) -> "TimeModel":
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         return cls(kind="central_difference", tau=float(tau), delta=DeltaOperator.central_difference(tau))
 
     def __post_init__(self) -> None:
@@ -132,10 +132,8 @@ def lambda_max(grid: GridSpec, m: float) -> float:
 
 
 def _combine(data: CauchyData, c: np.ndarray, s: np.ndarray) -> LatticeField:
-    F0 = dft(data.phi0)
-    F1 = dft(data.phi1)
-    vals = c[..., None] * F0.values + s[..., None] * F1.values
-    return idft(SpectralField(data.grid, vals))
+    support, (F0, F1) = align(dft(data.phi0), dft(data.phi1))
+    return idft(SpectralField._of(data.grid, support, c[..., None] * F0 + s[..., None] * F1))
 
 
 def solve_kg(data: CauchyData, time: TimeModel, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
@@ -228,8 +226,7 @@ def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | 
 
 def _dirac_velocity(f: LatticeField, alpha: float, m: float) -> LatticeField:
     """i (D - m gamma) f, the factor i applied after the Clifford product."""
-    F = apply_multiplier(dft(f), dirac_symbol(f.grid, alpha, m))
-    return idft(SpectralField(f.grid, 1j * F.values))
+    return idft(1j * apply_multiplier(dft(f), _dirac_symbol(f.grid, alpha, m)))
 
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:

@@ -33,13 +33,12 @@ is the quadratic-cost reference sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .clifford import Multivector, Signature, active_blades, mul_arrays, pseudoscalar
-from .lattice import GridSpec, LatticeField, discrete_laplacian, norm
+from .clifford import Multivector, Signature, mul_arrays, mul_columns, pseudoscalar
+from .lattice import GridSpec, LatticeField, _CompactField, discrete_laplacian, norm
 
 __all__ = [
     "SpectralField",
@@ -67,43 +66,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Momentum-space field: one blade-coefficient vector per momentum point.
+class SpectralField(_CompactField):
+    """Momentum-space field: blade columns per momentum point, compact layout.
 
     Values are laid out in FFT index order; entry ``b`` along an axis carries
     the frequency ``2 pi wrap(b) / (N h)`` with ``wrap(b) = b`` for
-    ``b <= N/2`` and ``b - N`` otherwise.
+    ``b <= N/2`` and ``b - N`` otherwise.  ``SpectralField(grid, values)``
+    accepts a dense ``(*shape, 4**n)`` array, like ``LatticeField``.
     """
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        expect = self.grid.shape + (self.grid.blades,)
-        if vals.shape != expect:
-            raise ValueError(f"expected values of shape {expect}, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    def at(self, *index: int) -> Multivector:
-        idx = tuple(int(i) % N for i, N in zip(index, self.grid.shape))
-        return Multivector(self.grid.sig, self.values[idx])
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return SpectralField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return SpectralField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.values * complex(scalar))
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
 
 def frequencies(N: int, h: float) -> np.ndarray:
@@ -165,24 +137,37 @@ def d2_field(grid: GridSpec, h_symbol: float | None = None) -> np.ndarray:
     return out
 
 
-def z_field(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> np.ndarray:
-    """Dirac symbol sampled on the momentum grid, shape (*shape, 4**n)."""
+def _z_symbol(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> SpectralField:
+    """Dirac symbol on its 2n generator columns; see ``z_field``."""
     h = grid.h if h_symbol is None else float(h_symbol)
     n = grid.n
-    out = np.zeros(grid.shape + (grid.blades,), dtype=complex)
+    cols = np.zeros(grid.shape + (2 * n,), dtype=complex)
     for axis, xi in enumerate(axis_frequencies(grid)):
         u = h * xi
-        j = axis + 1
         a = (np.sin((1.0 - alpha) * u) + np.sin(alpha * u)) / h
         b = (np.cos(alpha * u) - np.cos((1.0 - alpha) * u)) / h
-        out[..., 1 << (j - 1)] = _axis_view(-1j * a, axis, n)
-        out[..., 1 << (n + j - 1)] = _axis_view(b.astype(complex), axis, n)
-    return out
+        cols[..., axis] = _axis_view(-1j * a, axis, n)  # e_{axis+1}
+        cols[..., n + axis] = _axis_view(b.astype(complex), axis, n)  # e_{n+axis+1}
+    return SpectralField._of(grid, tuple(1 << k for k in range(2 * n)), cols)
+
+
+def z_field(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> np.ndarray:
+    """Dirac symbol sampled on the momentum grid, shape (*shape, 4**n)."""
+    return _z_symbol(grid, alpha, h_symbol).values
+
+
+def _dirac_symbol(grid: GridSpec, alpha: float, m: float) -> SpectralField:
+    """z(xi) - m gamma on the generator columns and, for m != 0, the pseudoscalar's."""
+    z = _z_symbol(grid, alpha)
+    if not m:
+        return z
+    gamma = pseudoscalar(grid.sig).coeffs[-1]  # the pseudoscalar is the blade of every generator
+    return z - SpectralField._of(grid, (grid.blades - 1,), np.full(grid.shape + (1,), float(m) * gamma))
 
 
 def dirac_symbol(grid: GridSpec, alpha: float, m: float) -> np.ndarray:
     """Massive Dirac symbol z(xi) - m gamma on the momentum grid, shape (*shape, 4**n)."""
-    return z_field(grid, alpha) - float(m) * pseudoscalar(grid.sig).coeffs
+    return _dirac_symbol(grid, alpha, m).values
 
 
 # -- transforms --------------------------------------------------------------
@@ -192,36 +177,31 @@ def _site_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(grid.n))
 
 
-def _transform(values: np.ndarray, grid: GridSpec, fft, scale: float) -> np.ndarray:
-    # FFT only the blade columns that are nonzero somewhere; the others stay
-    # exactly zero.  With every column active this is the plain batched call.
-    act = active_blades(values)
-    if act.size == values.shape[-1]:
-        return fft(values, axes=_site_axes(grid)) * scale
-    out = np.zeros(values.shape, dtype=complex)
-    out[..., act] = fft(values[..., act], axes=_site_axes(grid)) * scale
-    return out
+def _transform(f, kind, fft, scale: float):
+    # only the active blade columns are stored, so only they are transformed
+    g = f.grid
+    return kind._of(g, f.support, fft(f.columns, axes=_site_axes(g)) * scale)
 
 
 def dft(f: LatticeField) -> SpectralField:
     """Forward transform h**n (2 pi)**(-n/2) sum_x f(x) exp(+i x.xi).
 
-    Only blade columns that are nonzero at some site are transformed; the
-    other columns of the result are exactly zero.
+    Only the field's active blade columns are transformed; the result has
+    the same support.
     """
     g = f.grid
     scale = g.site_count * g.h**g.n / (2.0 * np.pi) ** (g.n / 2.0)
-    return SpectralField(g, _transform(f.values, g, np.fft.ifftn, scale))
+    return _transform(f, SpectralField, np.fft.ifftn, scale)
 
 
 def idft(F: SpectralField) -> LatticeField:
     """Riemann-weight inverse; exactly inverts dft on the finite grid.
 
-    Like ``dft`` it transforms only the nonzero blade columns.
+    Like ``dft`` it transforms only the active blade columns.
     """
     g = F.grid
     scale = (2.0 * np.pi) ** (g.n / 2.0) / (g.site_count * g.h**g.n)
-    return LatticeField(g, _transform(F.values, g, np.fft.fftn, scale))
+    return _transform(F, LatticeField, np.fft.fftn, scale)
 
 
 def _fourier_matrix(N: int, sign: float) -> np.ndarray:
@@ -259,7 +239,8 @@ def apply_multiplier(F: SpectralField, M) -> SpectralField:
     """Pointwise left multiplication of a spectral field by a multiplier.
 
     ``M`` may be a callable ``xi_tuple -> Multivector | complex``, a scalar
-    array of shape (*shape,), or a full coefficient array (*shape, 4**n).
+    array of shape (*shape,), a full coefficient array (*shape, 4**n), or a
+    ``SpectralField``.
     Composition order: apply(M2, apply(M1, F)) equals apply of the pointwise
     product M2 M1.
     """
@@ -275,12 +256,15 @@ def apply_multiplier(F: SpectralField, M) -> SpectralField:
             else:
                 arr[idx + (0,)] = val
         M = arr
-    M = np.asarray(M)
-    if M.shape == g.shape:
-        return SpectralField(g, F.values * M[..., None])
-    if M.shape == g.shape + (g.blades,):
-        return SpectralField(g, mul_arrays(g.n, M, F.values))
-    raise ValueError(f"multiplier shape {M.shape} matches neither {g.shape} nor {g.shape + (g.blades,)}")
+    if not isinstance(M, SpectralField):
+        M = np.asarray(M)
+        if M.shape == g.shape:
+            return F._like(F.support, F.columns * M[..., None])
+        if M.shape != g.shape + (g.blades,):
+            raise ValueError(f"multiplier shape {M.shape} matches neither {g.shape} nor {g.shape + (g.blades,)}")
+        M = SpectralField(g, M)
+    F._check(M)
+    return F._like(*mul_columns(g.n, M.support, M.columns, F.support, F.columns))
 
 
 def multiply_field(f: LatticeField, *multipliers) -> LatticeField:
@@ -296,7 +280,8 @@ def multiply_field(f: LatticeField, *multipliers) -> LatticeField:
 
 def scalar_kernel(grid: GridSpec, symbol: np.ndarray) -> LatticeField:
     """Inverse transform of a scalar multiplier of shape (*shape,), on the scalar blade."""
-    return idft(SpectralField(grid, LatticeField.from_scalar(grid, symbol).values))
+    f = LatticeField.from_scalar(grid, symbol)
+    return idft(SpectralField._of(grid, f.support, f.columns))
 
 
 def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
@@ -308,7 +293,7 @@ def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
     alpha = f.grid.alpha if alpha is None else alpha
     if not (0.0 <= alpha <= 0.5):
         raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
-    return multiply_field(f, z_field(f.grid, alpha))
+    return multiply_field(f, _z_symbol(f.grid, alpha))
 
 
 def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
@@ -318,7 +303,7 @@ def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
     right-hand side uses the position-space stencil, so the two sides share
     no code path beyond the transform.
     """
-    zm = dirac_symbol(f.grid, alpha, m)
+    zm = _dirac_symbol(f.grid, alpha, m)
     lhs = multiply_field(f, zm, zm)
     rhs = -discrete_laplacian(f) + (m * m) * f
     scale = norm(f)
@@ -330,10 +315,10 @@ def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
 
 def reflect(f: LatticeField) -> LatticeField:
     """Field x -> f(-x) on the periodic grid."""
-    vals = f.values
+    vals = f.columns
     for axis in range(f.grid.n):
         vals = np.roll(np.flip(vals, axis=axis), 1, axis=axis)
-    return LatticeField(f.grid, vals)
+    return f._like(f.support, vals)
 
 
 def convolve(f: LatticeField, g: LatticeField) -> LatticeField:
@@ -349,8 +334,8 @@ def convolve(f: LatticeField, g: LatticeField) -> LatticeField:
     gr = f.grid
     Fg = dft(g)
     Ffr = dft(reflect(f))
-    prod = mul_arrays(gr.n, Fg.values, Ffr.values) * (2.0 * np.pi) ** (gr.n / 2.0)
-    return idft(SpectralField(gr, prod))
+    support, prod = mul_columns(gr.n, Fg.support, Fg.columns, Ffr.support, Ffr.columns)
+    return idft(SpectralField._of(gr, support, prod * (2.0 * np.pi) ** (gr.n / 2.0)))
 
 
 def convolve_direct(f: LatticeField, g: LatticeField) -> LatticeField:

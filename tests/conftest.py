@@ -1,7 +1,16 @@
 import contextlib
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs the properties derandomized and prints the reproduction blob of any
+# counterexample, so a failure found there replays locally with
+# @reproduce_failure (.hypothesis/ is not committed).  GitHub Actions sets CI.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

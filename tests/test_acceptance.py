@@ -89,8 +89,9 @@ def test_criterion_13_cli_end_to_end(criterion, tmp_path):
             timeout=300,
         )
         assert res.returncode == 0, res.stdout + res.stderr
-        assert "checks passed" in res.stdout
+        assert "13/13 checks passed" in res.stdout
         assert "FAIL" not in res.stdout
+        assert res.stderr == ""  # a passing selftest is quiet: no stray RuntimeWarning
 
         runs = [
             ("dirac", ["evolve", "--config", str(FIXTURES / "dirac.cfg")]),

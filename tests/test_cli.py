@@ -484,16 +484,6 @@ def test_spectrum_default_alphas(tmp_path):
     assert meta["alphas"] == [0.0, 0.25, 0.5]
 
 
-# -- selftest ---------------------------------------------------------------------
-
-
-def test_passing_selftest_is_quiet(capsys):
-    assert main(["selftest"]) == 0
-    captured = capsys.readouterr()
-    assert "13/13 checks passed" in captured.out
-    assert captured.err == ""
-
-
 # -- failing runs leave nothing behind and name one guard ------------------------------
 
 

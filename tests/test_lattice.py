@@ -85,6 +85,13 @@ def test_gaussian_is_symmetric_under_wrap():
         assert f.at(j).scalar_part == pytest.approx(f.at(8 - j).scalar_part, abs=1e-15)
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_gaussian_rejects_non_finite_width(width):
+    # a NaN width used to give an all-NaN field
+    with pytest.raises(ValueError, match="width"):
+        LatticeField.gaussian(GridSpec((8,), 1.0), width)
+
+
 def test_shift_moves_delta_forward():
     g = GridSpec((6,), 1.0)
     d = LatticeField.delta(g)
@@ -94,6 +101,15 @@ def test_shift_moves_delta_forward():
     assert shift(shift(d, 1, 2), 1, -2).allclose(d)
     with pytest.raises(ValueError):
         shift(d, 2, 1)
+
+
+@pytest.mark.parametrize("steps", [2.7, -0.5, math.nan, math.inf])
+def test_shift_rejects_non_integer_steps(steps):
+    # a fractional count used to roll silently by its integer part
+    d = LatticeField.delta(GridSpec((6,), 1.0))
+    with pytest.raises(ValueError, match="steps"):
+        shift(d, 1, steps)
+    assert shift(d, 1, 2.0).at(2).scalar_part == 1.0  # an integral float is a count
 
 
 def test_laplacian_matches_shift_stencil(rng):
@@ -137,6 +153,15 @@ def test_dirac_kahler_coarse_step(rng):
     assert norm(coarse) > 0
     with pytest.raises(ValueError):
         dirac_kahler(f, eps=0.75)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+def test_dirac_kahler_rejects_non_finite_eps(eps):
+    # eps = inf used to raise OverflowError, eps = nan a bare integer-conversion error
+    f = LatticeField.delta(GridSpec((8,), 0.5))
+    for op in (dirac_kahler, dirac_kahler_dagger):
+        with pytest.raises(ValueError, match="eps"):
+            op(f, eps=eps)
 
 
 def test_inner_product_conjugate_symmetry(rng):

@@ -51,6 +51,13 @@ def test_time_model_validation():
         TimeModel.central_difference(0.0)
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_central_difference_rejects_non_finite_tau(tau):
+    # an infinite tau used to escape as an OverflowError from Fraction
+    with pytest.raises(ValueError, match="tau"):
+        TimeModel.central_difference(tau)
+
+
 def test_validate_time_half_step_grid():
     tm = TimeModel.central_difference(0.5)
     assert tm.validate_time(0.75) == 0.75

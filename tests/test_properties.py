@@ -63,3 +63,9 @@ def test_dirac_half_steps_satisfy_the_first_order_flow(run, alpha):
     t = k * tau / 2.0
     psi = [solve_dirac(phi0, time, alpha, m, t + j * tau / 2.0) for j in (-1, 0, 1)]
     assert dirac_residual(*psi, alpha, m, tau) <= 1e-9
+
+
+def test_ci_profile_replays_counterexamples():
+    # loaded by conftest when CI is set: fixed example order, and a blob to replay
+    ci = settings.get_profile("ci")
+    assert ci.derandomize and ci.print_blob
