@@ -74,6 +74,10 @@ class GridSpec:
                 raise ValueError(f"points per axis must be even and positive, got {N}")
         if not (0 < self.h < np.inf):
             raise ValueError(f"spacing h must be positive and finite, got {self.h}")
+        with np.errstate(all="ignore"):  # the symbols scale by 4/h**2, the transforms by h**n
+            h2, hn = np.float64(self.h) ** 2, np.float64(self.h) ** len(shape)
+            if not all(0.0 < q < np.inf for q in (h2, hn, 4.0 / h2, 1.0 / hn)):
+                raise ValueError(f"h={self.h!r} takes h**2, h**n or their inverses out of the finite nonzero floats")
         if not (0.0 <= self.alpha <= 0.5):
             raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
         if not (0 <= self.mass < np.inf):

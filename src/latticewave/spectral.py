@@ -124,36 +124,40 @@ def multiplier_z(xi: Sequence[float] | float, alpha: float, h: float, sig: Signa
     return Multivector(sig, coeffs)
 
 
-def d2_field(grid: GridSpec, h_symbol: float | None = None) -> np.ndarray:
-    """Laplacian symbol sampled on the grid's momentum points, shape (*shape,).
-
-    ``h_symbol`` evaluates the symbol of a coarser/finer lattice on this
-    grid's momentum points (used for refined-zone sweeps); default grid.h.
-    """
-    h = grid.h if h_symbol is None else float(h_symbol)
-    out = np.zeros(grid.shape)
-    for axis, xi in enumerate(axis_frequencies(grid)):
-        out = out + _axis_view((4.0 / h**2) * np.sin(h * xi / 2.0) ** 2, axis, grid.n)
+def _d2_on(axes: Sequence[np.ndarray], h: float) -> np.ndarray:
+    """Laplacian symbol of spacing ``h`` on the product of the per-axis momenta ``axes``."""
+    out = np.zeros(tuple(xi.size for xi in axes))
+    for axis, xi in enumerate(axes):
+        out = out + _axis_view((4.0 / h**2) * np.sin(h * xi / 2.0) ** 2, axis, len(axes))
     return out
 
 
-def _z_symbol(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> SpectralField:
-    """Dirac symbol on its 2n generator columns; see ``z_field``."""
-    h = grid.h if h_symbol is None else float(h_symbol)
-    n = grid.n
-    cols = np.zeros(grid.shape + (2 * n,), dtype=complex)
-    for axis, xi in enumerate(axis_frequencies(grid)):
+def d2_field(grid: GridSpec) -> np.ndarray:
+    """Laplacian symbol sampled on the grid's momentum points, shape (*shape,)."""
+    return _d2_on(axis_frequencies(grid), grid.h)
+
+
+def _z_on(axes: Sequence[np.ndarray], alpha: float, h: float) -> np.ndarray:
+    """Dirac symbol's 2n generator columns on the product of the per-axis momenta ``axes``."""
+    n = len(axes)
+    cols = np.zeros(tuple(xi.size for xi in axes) + (2 * n,), dtype=complex)
+    for axis, xi in enumerate(axes):
         u = h * xi
         a = (np.sin((1.0 - alpha) * u) + np.sin(alpha * u)) / h
         b = (np.cos(alpha * u) - np.cos((1.0 - alpha) * u)) / h
         cols[..., axis] = _axis_view(-1j * a, axis, n)  # e_{axis+1}
         cols[..., n + axis] = _axis_view(b.astype(complex), axis, n)  # e_{n+axis+1}
-    return SpectralField._of(grid, tuple(1 << k for k in range(2 * n)), cols)
+    return cols
 
 
-def z_field(grid: GridSpec, alpha: float, h_symbol: float | None = None) -> np.ndarray:
+def _z_symbol(grid: GridSpec, alpha: float) -> SpectralField:
+    """Dirac symbol on its 2n generator columns; see ``z_field``."""
+    return SpectralField._of(grid, tuple(1 << k for k in range(2 * grid.n)), _z_on(axis_frequencies(grid), alpha, grid.h))
+
+
+def z_field(grid: GridSpec, alpha: float) -> np.ndarray:
     """Dirac symbol sampled on the momentum grid, shape (*shape, 4**n)."""
-    return _z_symbol(grid, alpha, h_symbol).values
+    return _z_symbol(grid, alpha).values
 
 
 def _dirac_symbol(grid: GridSpec, alpha: float, m: float) -> SpectralField:
@@ -238,24 +242,12 @@ def idft_direct(F: SpectralField) -> LatticeField:
 def apply_multiplier(F: SpectralField, M) -> SpectralField:
     """Pointwise left multiplication of a spectral field by a multiplier.
 
-    ``M`` may be a callable ``xi_tuple -> Multivector | complex``, a scalar
-    array of shape (*shape,), a full coefficient array (*shape, 4**n), or a
-    ``SpectralField``.
+    ``M`` may be a scalar array of shape (*shape,), a full coefficient array
+    (*shape, 4**n), or a ``SpectralField``.
     Composition order: apply(M2, apply(M1, F)) equals apply of the pointwise
     product M2 M1.
     """
     g = F.grid
-    if callable(M):
-        axes = axis_frequencies(g)
-        arr = np.zeros(g.shape + (g.blades,), dtype=complex)
-        for idx in np.ndindex(*g.shape):
-            xi = tuple(axes[a][idx[a]] for a in range(g.n))
-            val = M(xi)
-            if isinstance(val, Multivector):
-                arr[idx] = val.coeffs
-            else:
-                arr[idx + (0,)] = val
-        M = arr
     if not isinstance(M, SpectralField):
         M = np.asarray(M)
         if M.shape == g.shape:

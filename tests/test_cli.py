@@ -120,7 +120,8 @@ def test_store_omits_zero_rows(tmp_path):
     f = LatticeField.delta(grid)
     path = str(tmp_path / "delta.csv")
     store_field(f, path)
-    body = [ln for ln in open(path, encoding="utf-8") if ln.strip() and not ln.startswith("#")]
+    with open(path, encoding="utf-8") as fh:
+        body = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
     assert len(body) == 2  # header + the single nonzero site
     assert body[1].startswith("0,,")  # scalar blade has an empty label
 
@@ -129,7 +130,8 @@ def test_load_field_error_paths(tmp_path):
     grid = GridSpec((4,), 1.0)
     path = str(tmp_path / "f.csv")
     store_field(LatticeField.delta(grid), path)
-    good = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        good = fh.read()
 
     bad = good.replace("# mass=0.0\n", "")
     with pytest.raises(ConfigError, match="missing '# mass='"):
@@ -482,6 +484,36 @@ def test_spectrum_default_alphas(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["alphas"] == [0.0, 0.25, 0.5]
+
+
+# -- spacings whose h**2 or h**n leave the float range ---------------------------------
+
+_COMMAND_KEYS = {
+    "evolve": (["evolve"], KG),
+    "kernel": (["kernel", "--kind", "K0"], dict(mass=1.0, time_model="continuous", times="0.5")),
+    "spectrum": (["spectrum"], {}),
+}
+
+
+@pytest.mark.parametrize("dim,spacing", [(1, "1e-200"), (2, "1e200"), (3, "1e-110")])
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_extreme_spacing_is_a_config_error(tmp_path, capsys, command, dim, spacing):
+    argv, keys = _COMMAND_KEYS[command]
+    cfg = _config(tmp_path, **{**keys, "dim": dim, "points": 4, "spacing": spacing})
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: spacing: h={float(spacing)!r} ")
+    assert not out.exists()
+
+
+def test_spectrum_refuses_a_spacing_whose_refined_zone_leaves_the_float_range(tmp_path, capsys):
+    # 4/h**2 is finite at h = 1.5e-154 but overflows at the refined zone's h/2
+    cfg = _config(tmp_path, dim=1, points=4, spacing="1.5e-154")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: spacing: on the refined zone, h=7.5e-155 ")
+    assert not out.exists()
 
 
 # -- failing runs leave nothing behind and name one guard ------------------------------

@@ -154,7 +154,8 @@ def test_random_bit_patterns_round_trip(tmp_path, rng):
 def test_header_only_file_loads_without_warning(tmp_path, chunk):
     path = str(tmp_path / "zeros.csv")
     store_field(LatticeField.zeros(GridSpec((4, 4), 0.5)), path)
-    comments_only = _write(tmp_path, "c.csv", open(path, encoding="utf-8").read() + "# one\n# two\n\n")
+    with open(path, encoding="utf-8") as fh:
+        comments_only = _write(tmp_path, "c.csv", fh.read() + "# one\n# two\n\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in (path, comments_only):

@@ -43,6 +43,13 @@ def test_grid_rejects_non_finite_parameters(kwargs):
         GridSpec((4,), **{"h": 1.0, **kwargs})
 
 
+def test_grid_refuses_spacing_outside_the_float_range():
+    for shape, h in (((4,), 1e-200), ((4,), 1e200), ((4, 4, 4), 1e-110)):
+        with pytest.raises(ValueError, match="out of the finite nonzero floats"):
+            GridSpec(shape, h)
+    GridSpec((4, 4, 4), 1e-100)  # h**3 = 1e-300 still fits
+
+
 def test_grid_refinement():
     g = GridSpec((8, 4), 0.5, alpha=0.25, mass=1.0)
     r = g.refined()

@@ -225,9 +225,10 @@ def test_apply_multiplier_forms(rng):
     g = GridSpec((8,), 0.5)
     F = dft(random_field(g, rng))
     lam = d2_field(g)
-    a = apply_multiplier(F, lam)  # scalar array
-    b = apply_multiplier(F, lambda xi: multiplier_d2(xi, g.h))  # callable
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12
+    a = apply_multiplier(F, lam)  # scalar array acts on every blade column
+    assert np.array_equal(a.values, F.values * lam[:, None])
+    with pytest.raises(ValueError, match="multiplier shape"):
+        apply_multiplier(F, lambda xi: multiplier_d2(xi, g.h))  # a callable is not a multiplier form
     z = z_field(g, 0.25)
     c = apply_multiplier(F, z)  # multivector-valued array acts by left product
     want = mul_arrays(g.n, z, F.values)
