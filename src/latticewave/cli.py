@@ -23,6 +23,7 @@ finite values; rows are ordered lexicographically by site, then blade.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import json
@@ -262,12 +263,6 @@ def load_config(path: str) -> tuple[dict[str, object], dict[str, str]]:
     return cfg, raw
 
 
-def _require(cfg: dict[str, object], command: str, *keys: str) -> None:
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"{command}: missing required key(s): {', '.join(missing)}")
-
-
 def _grid(cfg: dict[str, object], refined: bool = False) -> GridSpec:
     shape = (cfg["points"],) * cfg["dim"]
     try:
@@ -275,12 +270,6 @@ def _grid(cfg: dict[str, object], refined: bool = False) -> GridSpec:
         return grid.refined() if refined else grid
     except ValueError as exc:  # every other key is range-checked when it is parsed
         raise ConfigError(f"spacing: {'on the refined zone, ' if refined else ''}{exc}") from None
-
-
-def _time_model(cfg: dict[str, object]) -> TimeModel:
-    if cfg["time_model"] == "continuous":
-        return TimeModel.continuous()
-    return TimeModel.central_difference(cfg["tau"])
 
 
 def build_field(cfg: dict[str, object], grid: GridSpec, role: str) -> LatticeField:
@@ -317,15 +306,6 @@ def _blade_label(mask: int) -> str:
     return "·".join(str(j) for j in blade_indices(mask))
 
 
-def _grid_comments(grid: GridSpec) -> str:
-    return (
-        f"# shape={','.join(str(N) for N in grid.shape)}\n"
-        f"# spacing={grid.h!r}\n"
-        f"# alpha={grid.alpha!r}\n"
-        f"# mass={grid.mass!r}\n"
-    )
-
-
 def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: LatticeField) -> None:
     """Header plus one row per site and blade where any of ``fields`` is nonzero.
 
@@ -356,11 +336,23 @@ def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: LatticeFiel
         )
 
 
-def store_field(f: LatticeField, path: str) -> None:
-    """Write a field as CSV; exactly-zero coefficients are omitted."""
+def store_field(f: LatticeField, path: str, *, s: float | None = None, spectral: LatticeField | None = None) -> None:
+    """Write a field as CSV; exactly-zero coefficients are omitted.
+
+    A heat kernel export passes its time ``s``, written as a ``# s=`` line
+    after the grid, and its ``spectral`` twin: ``f`` is then the Bessel
+    route, and each row holds the columns of both routes.
+    """
+    fields, columns = (f,), ["blade", "re", "im"]
+    if spectral is not None:
+        fields, columns = (f, spectral), ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
+    grid = f.grid
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_grid_comments(f.grid))
-        _write_rows(fh, f.grid, ["blade", "re", "im"], f)
+        fh.write(f"# shape={','.join(str(N) for N in grid.shape)}\n# spacing={grid.h!r}\n")
+        fh.write(f"# alpha={grid.alpha!r}\n# mass={grid.mass!r}\n")
+        if s is not None:
+            fh.write(f"# s={float(s)!r}\n")
+        _write_rows(fh, grid, columns, *fields)
 
 
 _CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
@@ -494,15 +486,6 @@ def load_field(path: str) -> LatticeField:
     return f
 
 
-def _store_heat_pair(kb: LatticeField, ks: LatticeField, s: float, path: str) -> None:
-    # dual-route kernel export: Bessel product columns next to spectral ones
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_grid_comments(kb.grid))
-        fh.write(f"# s={float(s)!r}\n")
-        columns = ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
-        _write_rows(fh, kb.grid, columns, kb, ks)
-
-
 def _write_json(path: str, payload: dict) -> None:
     # serialise first: a non-finite value must not leave a half-written file
     try:
@@ -514,29 +497,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 # -- subcommands ----------------------------------------------------------------
-
-
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _validate_times(time: TimeModel, times: Sequence[float]) -> None:
-    if time.kind != "central_difference":
-        return
-    for t in times:
-        try:
-            time.validate_time(t)
-        except ValueError as exc:
-            raise ConfigError(f"times: {exc}") from None
-
-
-def _cfl_info(time: TimeModel | None, grid: GridSpec, m: float):
-    if time is None or time.kind != "central_difference":
-        return None
-    bound = time.cfl_bound()
-    lam = lambda_max(grid, m)
-    return {"bound": float(bound), "lambda_max": float(lam), "margin": float(bound - lam)}
 
 
 def _worst(residuals: dict[str, dict[str, float]], exclude: tuple[str, ...] = ("richardson_order",)):
@@ -563,25 +523,96 @@ def _enforce_tolerance(args, worst) -> int:
     return 0
 
 
+class _Run:
+    """The pipeline that evolve, kernel and spectrum share: validate, compute, export.
+
+    Construction loads the config and checks the command's required keys; the
+    command then makes the rest of its checks.  Entering the run creates
+    ``--out``, so a config error never leaves a directory behind.  ``path``
+    names an output file and records it; ``finish`` applies ``--tolerance``
+    and writes ``metadata.json`` with the shared keys.  A run that ends
+    without ``metadata.json`` (a guard tripped, or a residual came out
+    non-finite) removes every file it wrote.
+    """
+
+    def __init__(self, args, command: str, *keys: str):
+        self.args, self.command = args, command
+        self.cfg, self.raw = load_config(args.config)
+        self.require(*keys)
+        self.files: list[str] = []
+        self.residuals: dict[str, dict[str, float]] = {}
+        self.record: dict[str, object] = {}
+        self.kept = False
+
+    def require(self, *keys: str) -> None:
+        missing = [k for k in keys if k not in self.cfg]
+        if missing:
+            raise ConfigError(f"{self.command}: missing required key(s): {', '.join(missing)}")
+
+    def time_model(self, grid: GridSpec, stepped: bool, heat_error: str) -> TimeModel | None:
+        """The time model of evolve and kernel (None for heat flow); records their shared keys.
+
+        Central-difference output times must lie on the tau/2 grid, heat times
+        must be nonnegative (``heat_error`` is the command's text for that).
+        """
+        cfg, time, cfl = self.cfg, None, None
+        if not stepped:
+            if any(t < 0 for t in cfg["times"]):
+                raise ConfigError(f"times: {heat_error}")
+        elif cfg["time_model"] == "continuous":
+            time = TimeModel.continuous()
+        else:
+            time = TimeModel.central_difference(cfg["tau"])
+            for t in cfg["times"]:
+                try:
+                    time.validate_time(t)
+                except ValueError as exc:
+                    raise ConfigError(f"times: {exc}") from None
+            bound, lam = time.cfl_bound(), lambda_max(grid, float(cfg["mass"]))
+            cfl = {"bound": float(bound), "lambda_max": float(lam), "margin": float(bound - lam)}
+        self.record.update(
+            times=[float(t) for t in cfg["times"]],
+            residuals=self.residuals,
+            cfl=cfl,
+            allow_unstable=bool(self.args.allow_unstable),
+        )
+        return time
+
+    def __enter__(self) -> "_Run":
+        os.makedirs(self.args.out, exist_ok=True)
+        return self
+
+    def path(self, name: str) -> str:
+        self.files.append(name)
+        return os.path.join(self.args.out, name)
+
+    def finish(self, worst, **record) -> int:
+        status = _enforce_tolerance(self.args, worst)
+        if worst is None or math.isfinite(worst):  # a non-finite residual keeps no output
+            record.update(
+                self.record, command=self.command, config=self.raw, files=self.files, tolerance=self.args.tolerance
+            )
+            _write_json(os.path.join(self.args.out, "metadata.json"), record)
+            self.kept = True
+        return status
+
+    def __exit__(self, *exc) -> None:
+        if not self.kept:
+            for name in self.files:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(self.args.out, name))
+
+
 def cmd_evolve(args) -> int:
-    cfg, raw = load_config(args.config)
-    _require(cfg, "evolve", "equation", "dim", "points", "spacing", "mass", "times", "initial_data")
+    run = _Run(args, "evolve", "equation", "dim", "points", "spacing", "mass", "times", "initial_data")
+    cfg = run.cfg
     equation = cfg["equation"]
     if equation != "heat":
-        _require(cfg, "evolve", "time_model")
+        run.require("time_model")
     grid = _grid(cfg)
     m = float(cfg["mass"])
-    times = cfg["times"]
-    outdir = _ensure_outdir(args.out)
     phi0 = build_field(cfg, grid, "initial")
-
-    time = None
-    if equation != "heat":
-        time = _time_model(cfg)
-        _validate_times(time, times)
-    elif any(t < 0 for t in times):
-        raise ConfigError("times: heat flow needs s >= 0")
-    cfl = _cfl_info(time, grid, m)
+    time = run.time_model(grid, equation != "heat", "heat flow needs s >= 0")
 
     unstable = args.allow_unstable
     data = frac = None
@@ -624,103 +655,53 @@ def cmd_evolve(args) -> int:
         },
     }[equation]
 
-    files: list[str] = []
-    residuals: dict[str, dict[str, float]] = {}
-    for idx, t in enumerate(times):
-        # overflow ends in a non-finite residual, which the guard below reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = at(t)
-            found = checks(t, psi)
-        for kind, value in found.items():
-            residuals.setdefault(kind, {})[repr(float(t))] = float(value)
-        worst = _worst(residuals)
-        if worst is not None and not math.isfinite(worst):
-            for name in files:  # a failed run leaves no field behind
-                os.remove(os.path.join(outdir, name))
-            return _enforce_tolerance(args, worst)  # before this slice is written
-        name = f"field_{idx:03d}.csv"
-        store_field(psi, os.path.join(outdir, name))
-        files.append(name)
-
-    status = _enforce_tolerance(args, _worst(residuals))
-    _write_json(
-        os.path.join(outdir, "metadata.json"),
-        {
-            "command": "evolve",
-            "equation": equation,
-            "config": raw,
-            "times": [float(t) for t in times],
-            "files": files,
-            "residuals": residuals,
-            "cfl": cfl,
-            "allow_unstable": bool(args.allow_unstable),
-            "threads": args.threads,
-            "tolerance": args.tolerance,
-        },
-    )
-    return status
+    with run:
+        for idx, t in enumerate(cfg["times"]):
+            # overflow ends in a non-finite residual, which finish() reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                psi = at(t)
+                found = checks(t, psi)
+            for kind, value in found.items():
+                run.residuals.setdefault(kind, {})[repr(float(t))] = float(value)
+            worst = _worst(run.residuals)
+            if worst is not None and not math.isfinite(worst):
+                break  # the run ends before this slice is written, and keeps no output
+            store_field(psi, run.path(f"field_{idx:03d}.csv"))
+        return run.finish(_worst(run.residuals), equation=equation)
 
 
 def cmd_kernel(args) -> int:
-    cfg, raw = load_config(args.config)
-    _require(cfg, "kernel", "dim", "points", "spacing", "mass", "times")
-    kind = args.kind
+    run = _Run(args, "kernel", "dim", "points", "spacing", "mass", "times")
+    cfg, kind = run.cfg, args.kind
     grid = _grid(cfg)
     m = float(cfg["mass"])
-    times = cfg["times"]
-    outdir = _ensure_outdir(args.out)
-
-    time = None
-    frac = None
     if kind != "heat":
-        _require(cfg, "kernel", "time_model")
-        time = _time_model(cfg)
-        _validate_times(time, times)
-    elif any(t < 0 for t in times):
-        raise ConfigError("times: heat kernels need s >= 0")
+        run.require("time_model")
+    time = run.time_model(grid, kind != "heat", "heat kernels need s >= 0")
+    frac = None
     if kind in ("K0_alpha", "K1_alpha"):
-        _require(cfg, "kernel", "frac_alpha")
+        run.require("frac_alpha")
         if not m > 0:
             raise ConfigError("mass: fractional kernels need mass > 0")
         frac = FracParams(cfg["frac_alpha"], m)
-    cfl = _cfl_info(time, grid, m)
 
-    files: list[str] = []
-    residuals: dict[str, dict[str, float]] = {}
-    for idx, t in enumerate(times):
-        name = f"kernel_{kind}_{idx:03d}.csv"
-        path = os.path.join(outdir, name)
-        if kind == "heat":
-            kb = heat_kernel_bessel(grid, t)
-            ks = heat_kernel_spectral(grid, t)
-            _store_heat_pair(kb, ks, t, path)
-            disc = float(np.max(np.abs(kb.values - ks.values)))
-            residuals.setdefault("heat_discrepancy", {})[repr(float(t))] = disc
-        elif kind in ("K0", "K1"):
-            k0, k1 = wave_kernels(grid, time, m, t, allow_unstable=args.allow_unstable)
-            store_field(k0 if kind == "K0" else k1, path)
-        else:
-            k0a, k1a = fractional_kernels(grid, time, frac, t, allow_unstable=args.allow_unstable)
-            store_field(k0a if kind == "K0_alpha" else k1a, path)
-        files.append(name)
-
-    status = _enforce_tolerance(args, _worst(residuals))
-    _write_json(
-        os.path.join(outdir, "metadata.json"),
-        {
-            "command": "kernel",
-            "kind": kind,
-            "config": raw,
-            "times": [float(t) for t in times],
-            "files": files,
-            "residuals": residuals,
-            "cfl": cfl,
-            "allow_unstable": bool(args.allow_unstable),
-            "threads": args.threads,
-            "tolerance": args.tolerance,
-        },
-    )
-    return status
+    with run:
+        for idx, t in enumerate(cfg["times"]):
+            path = run.path(f"kernel_{kind}_{idx:03d}.csv")
+            if kind == "heat":
+                kb = heat_kernel_bessel(grid, t)
+                ks = heat_kernel_spectral(grid, t)
+                store_field(kb, path, s=t, spectral=ks)
+                _, (bessel, spectral) = align(kb, ks)  # active columns only, not two dense 4**n-blade arrays
+                disc = float(np.max(np.abs(bessel - spectral)))
+                run.residuals.setdefault("heat_discrepancy", {})[repr(float(t))] = disc
+            elif kind in ("K0", "K1"):
+                k0, k1 = wave_kernels(grid, time, m, t, allow_unstable=args.allow_unstable)
+                store_field(k0 if kind == "K0" else k1, path)
+            else:
+                k0a, k1a = fractional_kernels(grid, time, frac, t, allow_unstable=args.allow_unstable)
+                store_field(k0a if kind == "K0_alpha" else k1a, path)
+        return run.finish(_worst(run.residuals), kind=kind)
 
 
 def _blade_norms(n: int, support: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
@@ -731,71 +712,56 @@ def _blade_norms(n: int, support: tuple[int, ...], cols: np.ndarray) -> np.ndarr
 
 
 def cmd_spectrum(args) -> int:
-    cfg, raw = load_config(args.config)
-    _require(cfg, "spectrum", "dim", "points", "spacing")
-    grid = _grid(cfg)
-    zones = (("fundamental", grid), ("refined", _grid(cfg, refined=True)))
-    alphas = [float(a) for a in cfg.get("alphas", [0.0, 0.25, 0.5])]
-    outdir = _ensure_outdir(args.out)
+    run = _Run(args, "spectrum", "dim", "points", "spacing")
+    grid = _grid(run.cfg)
+    zones = (("fundamental", grid), ("refined", _grid(run.cfg, refined=True)))
+    alphas = [float(a) for a in run.cfg.get("alphas", [0.0, 0.25, 0.5])]
     n, h = grid.n, grid.h  # the symbol keeps the fundamental spacing on the refined zone too
     gens = tuple(1 << k for k in range(2 * n))
 
     summary: dict[str, dict[str, float]] = {}
     worst_err = 0.0
-    with open(os.path.join(outdir, "spectrum.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# shape={','.join(str(N) for N in grid.shape)}\n")
-        fh.write(f"# spacing={h!r}\n")
-        fh.write(f"# alphas={','.join(map(repr, alphas))}\n")
-        values = ["d2", "z_norm", "velocity_norm", "mass_norm", "z2_err"]
-        fh.write(",".join(["zone", "alpha"] + [f"xi{a + 1}" for a in range(n)] + values) + "\n")
-        for zone_name, zone_grid in zones:
-            # rows run over the sorted zone in C order, one slab of the first axis at a time
-            axes = [np.sort(frequencies(N, zone_grid.h)) for N in zone_grid.shape]
-            rest = list(itertools.product(*(ax.tolist() for ax in axes[1:])))
-            tails = ["".join(f"{x!r}," for x in xi) for xi in rest]
-            rest_away = np.array([any(xi) for xi in rest])  # whether a point of a slab has any nonzero xi_2..n
-            for alpha in alphas:
-                min_d2, min_z, max_err = math.inf, math.inf, 0.0
-                for xi1 in axes[0].tolist():
-                    slab = [np.array([xi1])] + axes[1:]
-                    d2 = _d2_on(slab, h).ravel()
-                    z = _z_on(slab, alpha, h).reshape(-1, 2 * n)
-                    support, zz = mul_columns(n, gens, z, gens, z)
-                    zz[:, 0] -= d2  # support[0] is the scalar blade
-                    # each coefficient squared by libm pow, as Python's ** does; numpy's x * x can differ by an ulp
-                    sq = (np.abs(z).astype(object) ** 2).astype(float)
-                    vel = np.sqrt(sum(sq[:, j] for j in range(n)))
-                    mas = np.sqrt(sum(sq[:, n + j] for j in range(n)))
-                    z_norm, err = _blade_norms(n, gens, z), _blade_norms(n, support, zz)
-                    head = f"{zone_name},{alpha!r},{xi1!r},"
-                    rows = zip(*(map(repr, v.tolist()) for v in (d2, z_norm, vel, mas, err)))
-                    fh.writelines(f"{head}{tail}{','.join(row)}\n" for tail, row in zip(tails, rows))
-                    away = rest_away | (xi1 != 0.0)  # every point but the origin; as in min(), a NaN never wins
-                    min_d2 = float(np.fmin.reduce(d2[away], initial=min_d2))
-                    min_z = float(np.fmin.reduce(z_norm[away], initial=min_z))
-                    max_err = float(np.fmax.reduce(err, initial=max_err))
-                summary[f"{zone_name}:alpha={alpha!r}"] = {
-                    "min_d2_nonzero": min_d2,
-                    "min_z_norm_nonzero": min_z,
-                    "edge_mass_norm": float(mas[-1]),  # the last point is the zone's upper edge
-                    "max_z2_err": max_err,
-                }
-                worst_err = max(worst_err, max_err)
-
-    status = _enforce_tolerance(args, worst_err)
-    _write_json(
-        os.path.join(outdir, "metadata.json"),
-        {
-            "command": "spectrum",
-            "config": raw,
-            "alphas": alphas,
-            "files": ["spectrum.csv"],
-            "summary": summary,
-            "threads": args.threads,
-            "tolerance": args.tolerance,
-        },
-    )
-    return status
+    with run:
+        with open(run.path("spectrum.csv"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# shape={','.join(str(N) for N in grid.shape)}\n")
+            fh.write(f"# spacing={h!r}\n")
+            fh.write(f"# alphas={','.join(map(repr, alphas))}\n")
+            values = ["d2", "z_norm", "velocity_norm", "mass_norm", "z2_err"]
+            fh.write(",".join(["zone", "alpha"] + [f"xi{a + 1}" for a in range(n)] + values) + "\n")
+            for zone_name, zone_grid in zones:
+                # rows run over the sorted zone in C order, one slab of the first axis at a time
+                axes = [np.sort(frequencies(N, zone_grid.h)) for N in zone_grid.shape]
+                rest = list(itertools.product(*(ax.tolist() for ax in axes[1:])))
+                tails = ["".join(f"{x!r}," for x in xi) for xi in rest]
+                rest_away = np.array([any(xi) for xi in rest])  # whether a point of a slab has any nonzero xi_2..n
+                for alpha in alphas:
+                    min_d2, min_z, max_err = math.inf, math.inf, 0.0
+                    for xi1 in axes[0].tolist():
+                        slab = [np.array([xi1])] + axes[1:]
+                        d2 = _d2_on(slab, h).ravel()
+                        z = _z_on(slab, alpha, h).reshape(-1, 2 * n)
+                        support, zz = mul_columns(n, gens, z, gens, z)
+                        zz[:, 0] -= d2  # support[0] is the scalar blade
+                        # each coefficient squared by libm pow, as Python's ** does; numpy's x * x can differ by an ulp
+                        sq = (np.abs(z).astype(object) ** 2).astype(float)
+                        vel = np.sqrt(sum(sq[:, j] for j in range(n)))
+                        mas = np.sqrt(sum(sq[:, n + j] for j in range(n)))
+                        z_norm, err = _blade_norms(n, gens, z), _blade_norms(n, support, zz)
+                        head = f"{zone_name},{alpha!r},{xi1!r},"
+                        rows = zip(*(map(repr, v.tolist()) for v in (d2, z_norm, vel, mas, err)))
+                        fh.writelines(f"{head}{tail}{','.join(row)}\n" for tail, row in zip(tails, rows))
+                        away = rest_away | (xi1 != 0.0)  # every point but the origin; as in min(), a NaN never wins
+                        min_d2 = float(np.fmin.reduce(d2[away], initial=min_d2))
+                        min_z = float(np.fmin.reduce(z_norm[away], initial=min_z))
+                        max_err = float(np.fmax.reduce(err, initial=max_err))
+                    summary[f"{zone_name}:alpha={alpha!r}"] = {
+                        "min_d2_nonzero": min_d2,
+                        "min_z_norm_nonzero": min_z,
+                        "edge_mass_norm": float(mas[-1]),  # the last point is the zone's upper edge
+                        "max_z2_err": max_err,
+                    }
+                    worst_err = max(worst_err, max_err)
+        return run.finish(worst_err, alphas=alphas, summary=summary)
 
 
 def cmd_selftest(args) -> int:
@@ -821,20 +787,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, stepped: bool = True) -> None:
         p.add_argument("--config", required=True, help="path to a key=value run configuration")
         p.add_argument("--out", default=".", help="output directory, created if missing")
-        p.add_argument(
-            "--allow-unstable",
-            action="store_true",
-            help="evolve past the CFL bound through the analytic continuation",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker count recorded in run metadata (numerics use numpy's own pools)",
-        )
+        if stepped:
+            p.add_argument(
+                "--allow-unstable",
+                action="store_true",
+                help="evolve past the CFL bound through the analytic continuation",
+            )
         p.add_argument(
             "--tolerance",
             type=float,
@@ -857,7 +818,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kernel.set_defaults(func=cmd_kernel)
 
     p_spectrum = sub.add_parser("spectrum", help="sweep Dirac symbol magnitudes over momentum zones")
-    common(p_spectrum)
+    common(p_spectrum, stepped=False)
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     p_selftest = sub.add_parser("selftest", help="run the built-in checks and print a pass/fail table")
@@ -869,9 +830,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        threads = getattr(args, "threads", None)
-        if threads is not None and threads < 1:
-            raise ConfigError(f"--threads: must be at least 1, got {threads}")
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not 0.0 <= tolerance < math.inf:
             raise ConfigError(f"--tolerance: must be finite and at least 0, got {tolerance}")

@@ -260,7 +260,8 @@ def test_evolve_grid_mismatch_on_file_input(tmp_path, capsys):
     cfg2 = {**KG, "points": 16, "initial_data": "file", "path": str(first / "field_000.csv")}
     code = main(["evolve", "--config", _config(tmp_path, "run2.cfg", **cfg2), "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert "does not match the configured grid" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # every config check runs before --out is made
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -277,14 +278,33 @@ def test_exit_codes(tmp_path, capsys):
 
     off_grid = {**KG, "time_model": "central_difference", "tau": 1.0, "times": "0.7"}
     assert main(["evolve", "--config", _config(tmp_path, "og.cfg", **off_grid), "--out", str(tmp_path / "o4")]) == 2
-    assert "times" in capsys.readouterr().err
+    assert "times: time 0.7 is not an integer multiple of tau/2" in capsys.readouterr().err
+    assert not (tmp_path / "o4").exists()
 
     heat_neg = dict(equation="heat", dim=1, points=8, spacing=1.0, mass=0.0,
                     times="-0.5", initial_data="delta")
     assert main(["evolve", "--config", _config(tmp_path, "hn.cfg", **heat_neg), "--out", str(tmp_path / "o5")]) == 2
+    assert "times: heat flow needs s >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o5").exists()
 
-    assert main(["evolve", "--config", _config(tmp_path, **KG), "--out", str(tmp_path / "o6"), "--threads", "0"]) == 2
-    capsys.readouterr()
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (["evolve"], ["--threads", "1"]),
+        (["kernel", "--kind", "K0"], ["--threads", "1"]),
+        (["spectrum"], ["--threads", "1"]),
+        (["spectrum"], ["--allow-unstable"]),
+    ],
+    ids=["evolve-threads", "kernel-threads", "spectrum-threads", "spectrum-allow-unstable"],
+)
+def test_removed_options_are_unknown(tmp_path, capsys, command, option):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", _config(tmp_path, **KG), "--out", str(out)] + option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_field_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -433,6 +453,11 @@ def test_kernel_fractional_requires_parameters(tmp_path, capsys):
                   time_model="continuous", times="0.5")
     assert main(["kernel", "--kind", "K0_alpha", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "frac_alpha" in capsys.readouterr().err
+    massless = _config(tmp_path, "massless.cfg", dim=1, points=8, spacing=1.0, mass=0.0,
+                       time_model="continuous", times="0.5", frac_alpha=0.25)
+    assert main(["kernel", "--kind", "K0_alpha", "--config", massless, "--out", str(tmp_path / "y")]) == 2
+    assert capsys.readouterr().err == "config error: mass: fractional kernels need mass > 0\n"
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 # -- spectrum ---------------------------------------------------------------------
@@ -574,3 +599,38 @@ def test_non_finite_residual_at_a_later_time_removes_earlier_fields(tmp_path, ca
     assert capsys.readouterr().err == "numerical guard: non-finite residual nan\n"
     assert list(out.glob("field_*.csv")) == []
     assert not (out / "metadata.json").exists()
+
+
+def test_kernel_guard_trip_leaves_no_kernel_file(tmp_path, capsys):
+    # the first time is exported, then 2s/h^2 = 800 trips the Bessel overflow guard
+    cfg = _config(tmp_path, dim=1, points=16, spacing=0.5, mass=0.0, times="0.1, 100.0")
+    out = tmp_path / "o"
+    assert main(["kernel", "--kind", "heat", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical guard: ") and "Bessel overflow guard" in err[0]
+    assert list(out.iterdir()) == []
+
+
+def test_kernel_finite_tolerance_breach_still_writes_kernels_and_metadata(tmp_path, capsys):
+    cfg = _config(tmp_path, dim=1, points=16, spacing=0.5, mass=0.0, times="0.5, 1.0")
+    out = tmp_path / "o"
+    assert main(["kernel", "--kind", "heat", "--config", cfg, "--out", str(out), "--tolerance", "1e-30"]) == 3
+    assert "tolerance exceeded" in capsys.readouterr().err
+    names = ["kernel_heat_000.csv", "kernel_heat_001.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names + ["metadata.json"]
+    assert json.loads((out / "metadata.json").read_text())["files"] == names
+
+
+def test_heat_kernel_discrepancy_stays_below_one_dense_field(tmp_path):
+    # at 3D 32^3 one dense 4^3-blade field is 33.5 MB; the kernels are scalar
+    import tracemalloc
+
+    cfg = _config(tmp_path, dim=3, points=32, spacing=1.0, mass=0.0, times="0.5")
+    dense_bytes = 32**3 * 64 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        assert main(["kernel", "--kind", "heat", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 1e6:.2f} MB, one dense field is {dense_bytes / 1e6:.2f} MB"

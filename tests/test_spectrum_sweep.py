@@ -81,7 +81,6 @@ def _ref_spectrum(dim, points, spacing, alphas, outdir, config_text, tolerance=N
         "alphas": [float(a) for a in alphas],
         "files": ["spectrum.csv"],
         "summary": summary,
-        "threads": None,
         "tolerance": tolerance,
     }
     text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
