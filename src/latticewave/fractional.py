@@ -274,6 +274,22 @@ def frac_power(f: LatticeField, p: FracParams, mode: str = "spectral") -> Lattic
     return _frac_power_subordination(f, p)
 
 
+def _subordination_head(f: LatticeField, t0: float, alpha: float, m: float) -> np.ndarray:
+    """Columns of the two-term head (t0^a/a) f + (t0^(1+a)/(1+a)) (Laplacian f - m^2 f).
+
+    Built in place in two field-sized buffers.  Each step has the operand
+    order of the field arithmetic in that formula (``c * f`` is
+    ``f.columns * complex(c)``), so the bits are the formula's.
+    """
+    head = discrete_laplacian(f).columns
+    scratch = f.columns * complex(m * m)
+    head -= scratch
+    head *= complex(t0 ** (1.0 + alpha) / (1.0 + alpha))
+    np.multiply(f.columns, complex(t0**alpha / alpha), out=scratch)
+    scratch += head
+    return scratch
+
+
 def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
     alpha, m = p.alpha, p.m
     gamma_a = math.gamma(alpha)
@@ -287,6 +303,8 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
         raise ValueError("quadrature window is empty; raise t_max or loosen head_tol")
     u = np.linspace(lo, hi, int(p.nodes))
     du = u[1] - u[0]
+    # built before the quadrature's transform, so the two are the only fields held at once
+    head = _subordination_head(f, t0, alpha, m)
     # the rule is linear in the heat multiplier, so it is summed on the symbol
     # and applied to f with one transform pair
     d2 = d2_field(f.grid)
@@ -307,11 +325,11 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
         acc += w(float(uv))
     # endpoint (Euler-Maclaurin) correction removes the O(du^2) trapezoid bias
     weights = du * acc - du * du / 12.0 * (w_prime(hi, w_hi) - w_prime(lo, w_lo))
-    total = multiply_field(f, weights)
-    head = (t0**alpha / alpha) * f + (t0 ** (1.0 + alpha) / (1.0 + alpha)) * (
-        discrete_laplacian(f) - m * m * f
-    )
-    return (1.0 / gamma_a) * (total + head)
+    total = multiply_field(f, weights)  # a fresh field: (total + head) / Gamma(a) overwrites it
+    out = total.columns
+    out += head
+    out *= complex(1.0 / gamma_a)
+    return total
 
 
 def _riesz_like(f: LatticeField, p: FracParams, exponent: float) -> LatticeField:
@@ -368,4 +386,5 @@ def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float,
     zm = _dirac_symbol(phi.grid, p.alpha, p.m)
     c, s = time.multipliers(lambda_field(phi.grid, p.m), t, allow_unstable=allow_unstable)
     F = dft(phi)
-    return idft(apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s))
+    P = apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s)
+    return idft(P, out=P.columns)

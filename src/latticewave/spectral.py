@@ -181,10 +181,16 @@ def _site_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(grid.n))
 
 
-def _transform(f, kind, fft, scale: float):
-    # only the active blade columns are stored, so only they are transformed
+def _transform(f, kind, fft, scale: float, out: np.ndarray | None = None):
+    # only the active blade columns are stored, so only they are transformed;
+    # every axis pass and the scaling write into ``out``, a fresh buffer
+    # unless the caller passes one (possibly ``f.columns``)
     g = f.grid
-    return kind._of(g, f.support, fft(f.columns, axes=_site_axes(g)) * scale)
+    if out is None:
+        out = np.empty(f.columns.shape, dtype=complex)
+    fft(f.columns, axes=_site_axes(g), out=out)
+    out *= scale
+    return kind._of(g, f.support, out)
 
 
 def dft(f: LatticeField) -> SpectralField:
@@ -198,14 +204,17 @@ def dft(f: LatticeField) -> SpectralField:
     return _transform(f, SpectralField, np.fft.ifftn, scale)
 
 
-def idft(F: SpectralField) -> LatticeField:
+def idft(F: SpectralField, out: np.ndarray | None = None) -> LatticeField:
     """Riemann-weight inverse; exactly inverts dft on the finite grid.
 
-    Like ``dft`` it transforms only the active blade columns.
+    Like ``dft`` it transforms only the active blade columns.  The result is
+    a new array unless ``out``, a complex array shaped like ``F.columns``,
+    is given; ``out=F.columns`` overwrites ``F``, for a transform the caller
+    made and no longer needs.
     """
     g = F.grid
     scale = (2.0 * np.pi) ** (g.n / 2.0) / (g.site_count * g.h**g.n)
-    return _transform(F, LatticeField, np.fft.fftn, scale)
+    return _transform(F, LatticeField, np.fft.fftn, scale, out)
 
 
 def _fourier_matrix(N: int, sign: float) -> np.ndarray:
@@ -262,18 +271,25 @@ def apply_multiplier(F: SpectralField, M) -> SpectralField:
 def multiply_field(f: LatticeField, *multipliers) -> LatticeField:
     """idft(M_k ... M_1 dft(f)): the multipliers act in order, each from the left.
 
-    Every multiplier takes any form ``apply_multiplier`` accepts.
+    Every multiplier takes any form ``apply_multiplier`` accepts.  The
+    transform is this call's own buffer: a scalar multiplier scales it in
+    place and the inverse transform overwrites it, so neither ``f`` nor a
+    multiplier is ever written.
     """
     F = dft(f)
     for M in multipliers:
-        F = apply_multiplier(F, M)
-    return idft(F)
+        M = M if isinstance(M, SpectralField) else np.asarray(M)
+        if isinstance(M, np.ndarray) and M.shape == F.grid.shape and np.can_cast(M.dtype, complex):
+            np.multiply(F.columns, M[..., None], out=F.columns)  # apply_multiplier's product, in place
+        else:
+            F = apply_multiplier(F, M)
+    return idft(F, out=F.columns)
 
 
 def scalar_kernel(grid: GridSpec, symbol: np.ndarray) -> LatticeField:
     """Inverse transform of a scalar multiplier of shape (*shape,), on the scalar blade."""
-    f = LatticeField.from_scalar(grid, symbol)
-    return idft(SpectralField._of(grid, f.support, f.columns))
+    f = LatticeField.from_scalar(grid, symbol)  # a copy of the symbol, inverted in place
+    return idft(SpectralField._of(grid, f.support, f.columns), out=f.columns)
 
 
 def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
@@ -327,7 +343,8 @@ def convolve(f: LatticeField, g: LatticeField) -> LatticeField:
     Fg = dft(g)
     Ffr = dft(reflect(f))
     support, prod = mul_columns(gr.n, Fg.support, Fg.columns, Ffr.support, Ffr.columns)
-    return idft(SpectralField._of(gr, support, prod * (2.0 * np.pi) ** (gr.n / 2.0)))
+    prod *= (2.0 * np.pi) ** (gr.n / 2.0)
+    return idft(SpectralField._of(gr, support, prod), out=prod)
 
 
 def convolve_direct(f: LatticeField, g: LatticeField) -> LatticeField:
