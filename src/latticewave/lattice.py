@@ -333,11 +333,9 @@ def shift(f: LatticeField, axis: int, steps: int) -> LatticeField:
     return f._like(f.support, np.roll(f.columns, int(steps), axis=axis - 1))
 
 
-# The Laplacian works through the leading axis in this many blocks of rows,
-# except on a field of at most _ONE_BLOCK values (256 KB), where the calls per
-# block would cost more than the memory saved.
-_ROW_BLOCKS = 8
-_ONE_BLOCK = 1 << 14
+# The Laplacian works through the leading axis in blocks of at most this many
+# values (256 KB), or of one row where a row holds more.
+_BLOCK_VALUES = 1 << 14
 
 
 def discrete_laplacian(f: LatticeField) -> LatticeField:
@@ -347,13 +345,13 @@ def discrete_laplacian(f: LatticeField) -> LatticeField:
     term ``((f(x + h e_j) + f(x - h e_j)) - 2 f(x)) / h**2`` is formed in two
     block-sized buffers from wrapped copies of the neighbours and then added
     to the result.  Every value sees the same operations in the same order
-    as on whole rolled fields, and on a large field the stencil holds two
-    blocks, not two fields, beyond its input and result.
+    as on whole rolled fields, and beyond its input and result the stencil
+    holds two blocks of at most ``_BLOCK_VALUES`` values (or of one row).
     """
     g = f.grid
     vals = f.columns
     out = np.zeros_like(vals)
-    rows = len(vals) if vals.size <= _ONE_BLOCK else -(-len(vals) // _ROW_BLOCKS)
+    rows = min(len(vals), max(1, _BLOCK_VALUES // max(vals[0].size, 1)))
     term = np.empty((rows,) + vals.shape[1:], dtype=complex)
     other = np.empty_like(term)
     for r in range(0, len(vals), rows):

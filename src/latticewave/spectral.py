@@ -248,6 +248,14 @@ def idft_direct(F: SpectralField) -> LatticeField:
 # -- multiplier application ---------------------------------------------------
 
 
+def _scalar_multiplier(F: SpectralField, M) -> np.ndarray | None:
+    # a scalar multiplier, shaped (*shape,), broadcast over F's columns; None otherwise
+    if isinstance(M, SpectralField):
+        return None
+    M = np.asarray(M)
+    return M[..., None] if M.shape == F.grid.shape else None
+
+
 def apply_multiplier(F: SpectralField, M) -> SpectralField:
     """Pointwise left multiplication of a spectral field by a multiplier.
 
@@ -257,10 +265,11 @@ def apply_multiplier(F: SpectralField, M) -> SpectralField:
     product M2 M1.
     """
     g = F.grid
+    S = _scalar_multiplier(F, M)
+    if S is not None:
+        return F._like(F.support, F.columns * S)
     if not isinstance(M, SpectralField):
         M = np.asarray(M)
-        if M.shape == g.shape:
-            return F._like(F.support, F.columns * M[..., None])
         if M.shape != g.shape + (g.blades,):
             raise ValueError(f"multiplier shape {M.shape} matches neither {g.shape} nor {g.shape + (g.blades,)}")
         M = SpectralField(g, M)
@@ -278,9 +287,9 @@ def multiply_field(f: LatticeField, *multipliers) -> LatticeField:
     """
     F = dft(f)
     for M in multipliers:
-        M = M if isinstance(M, SpectralField) else np.asarray(M)
-        if isinstance(M, np.ndarray) and M.shape == F.grid.shape and np.can_cast(M.dtype, complex):
-            np.multiply(F.columns, M[..., None], out=F.columns)  # apply_multiplier's product, in place
+        S = _scalar_multiplier(F, M)
+        if S is not None and np.can_cast(S.dtype, complex):  # the product fits the buffer
+            np.multiply(F.columns, S, out=F.columns)  # apply_multiplier's product, in place
         else:
             F = apply_multiplier(F, M)
     return idft(F, out=F.columns)

@@ -183,11 +183,18 @@ def test_in_place_paths_keep_the_bits(grid, kind, pool):
 
 
 def test_laplacian_blocks_cover_long_leading_axes():
-    # fields above the one-block size: 36 rows run in blocks of 5 and a last block of 1
-    for grid in (GridSpec((36, 32), 1.7), GridSpec((36, 4, 4), 0.3)):
+    # 36 rows of 512 values run as 32 + 4 rows, of 1024 values as 16 + 16 + 4;
+    # 4 rows of 16,384 values (the block size) run one row at a time
+    for grid, rows in ((GridSpec((36, 32), 1.7), 32), (GridSpec((36, 4, 4), 0.3), 16), (GridSpec((4, 16, 16), 0.9), 1)):
         f = random_field(grid, np.random.default_rng(grid.n))
-        assert f.columns.size > lattice._ONE_BLOCK
+        assert lattice._BLOCK_VALUES // f.columns[0].size == rows
         _same(discrete_laplacian(f), _ref_laplacian(f))
+
+
+def test_laplacian_of_a_field_without_columns():
+    f = LatticeField(GridSpec((4, 6), 0.9), np.zeros((4, 6, 16)))
+    assert f.columns.shape == (4, 6, 0)
+    assert discrete_laplacian(f).columns.shape == (4, 6, 0)
 
 
 def test_a_non_contiguous_field_keeps_the_bits():
