@@ -23,6 +23,7 @@ finite values; rows are ordered lexicographically by site, then blade.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -39,7 +40,7 @@ import numpy as np
 from .clifford import blade_indices, blade_mask, mul_columns
 from .fractional import (
     FracParams,
-    fractional_kernels,
+    fractional_symbols,
     heat_kernel_bessel,
     heat_kernel_spectral,
     heat_semigroup,
@@ -48,6 +49,7 @@ from .fractional import (
 from .lattice import GridSpec, LatticeField, align, relative_gap
 from .propagators import (
     CauchyData,
+    Propagator,
     TimeModel,
     continuous_dirac_residual,
     continuous_kg_residual,
@@ -56,10 +58,12 @@ from .propagators import (
     lambda_max,
     solve_dirac,
     solve_kg,
-    wave_kernels,
+    wave_symbols,
 )
-from .spectral import _d2_on, _z_on, frequencies
+from .spectral import _d2_on, _z_on, frequencies, scalar_kernel
 from .spectral import multiplier_d2, multiplier_z  # noqa: F401  (bench/child.py's set-up hook wraps them here)
+from .fractional import fractional_kernels  # noqa: F401  (so does the hook; kernel calls the symbol functions)
+from .propagators import wave_kernels  # noqa: F401
 from .umbral import CflViolationError
 
 __all__ = [
@@ -615,22 +619,48 @@ def cmd_evolve(args) -> int:
     time = run.time_model(grid, equation != "heat", "heat flow needs s >= 0")
 
     unstable = args.allow_unstable
-    data = frac = None
+    data = frac = plan = None
     if equation in ("klein_gordon", "fractional_kg"):
         data = CauchyData(phi0, build_field(cfg, grid, "velocity"))
+        plan = Propagator(data, m)
+    if equation == "dirac":
+        plan = Propagator.dirac(phi0, grid.alpha, m)
     if equation == "fractional_kg":
         frac = FracParams(cfg["frac_alpha"], m)
     tau = None if time is None else time.tau  # set for central differences only
 
     # Per equation: the field at time t, and the checks of the slice psi at t.
-    # The lambdas look the solvers up by name each time they run.
+    # The lambdas look the solvers up by name each time they run.  A plan
+    # transforms the Cauchy data inside its first solve, and once per run.
     solvers = {
-        "klein_gordon": lambda t: solve_kg(data, time, m, t, allow_unstable=unstable),
-        "dirac": lambda t: solve_dirac(phi0, time, grid.alpha, m, t, allow_unstable=unstable),
+        "klein_gordon": lambda t: solve_kg(plan, time, m, t, allow_unstable=unstable),
+        "dirac": lambda t: solve_dirac(plan, time, grid.alpha, m, t, allow_unstable=unstable),
         "heat": lambda t: heat_semigroup(phi0, t),
         "fractional_kg": lambda t: solve_kg_fractional(data, time, frac, t, allow_unstable=unstable),
     }
-    at = solvers[equation]
+
+    def reads(t: float) -> tuple[float, ...]:
+        """The slices that output time t and its checks below read."""
+        if equation == "heat":
+            return (t, t / 2.0)
+        if not tau:
+            return (t,)
+        half = (t - tau / 2, t + tau / 2) if equation == "dirac" else ()
+        return (t, *half, t - tau, t + tau)
+
+    # Each slice is solved once and kept until its last read; the keys tell -0.0 from 0.0
+    unread = collections.Counter(repr(x) for t in cfg["times"] for x in reads(t))
+    kept: dict[str, LatticeField] = {}
+
+    def at(t: float) -> LatticeField:
+        key = repr(t)
+        psi = kept.pop(key, None)
+        if psi is None:
+            psi = solvers[equation](t)
+        unread[key] -= 1
+        if unread[key] > 0:
+            kept[key] = psi
+        return psi
 
     def leapfrog(t: float, psi: LatticeField) -> dict[str, float]:
         return {"kg_residual": kg_residual(at(t - tau), psi, at(t + tau), m, tau)} if tau else {}
@@ -695,12 +725,11 @@ def cmd_kernel(args) -> int:
                 _, (bessel, spectral) = align(kb, ks)  # active columns only, not two dense 4**n-blade arrays
                 disc = float(np.max(np.abs(bessel - spectral)))
                 run.residuals.setdefault("heat_discrepancy", {})[repr(float(t))] = disc
-            elif kind in ("K0", "K1"):
-                k0, k1 = wave_kernels(grid, time, m, t, allow_unstable=args.allow_unstable)
-                store_field(k0 if kind == "K0" else k1, path)
             else:
-                k0a, k1a = fractional_kernels(grid, time, frac, t, allow_unstable=args.allow_unstable)
-                store_field(k0a if kind == "K0_alpha" else k1a, path)
+                # a kernel is the inverse transform of one multiplier of the pair: only that one is made
+                pair = (wave_symbols(grid, time, m, t, allow_unstable=args.allow_unstable) if frac is None
+                        else fractional_symbols(grid, time, frac, t, allow_unstable=args.allow_unstable))
+                store_field(scalar_kernel(grid, pair[kind.startswith("K1")]), path)
         return run.finish(_worst(run.residuals), kind=kind)
 
 

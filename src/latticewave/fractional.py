@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec, LatticeField, discrete_laplacian
-from .propagators import CauchyData, TimeModel, lambda_field, lambda_max
+from .propagators import CauchyData, TimeModel, lambda_max, wave_symbols
 from .spectral import _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, multiply_field, scalar_kernel
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "frac_power",
     "riesz",
     "riesz_inverse",
+    "fractional_symbols",
     "fractional_kernels",
     "solve_kg_fractional",
     "p_t_operator",
@@ -350,16 +351,21 @@ def riesz_inverse(f: LatticeField, p: FracParams) -> LatticeField:
 # -- fractional Klein-Gordon ------------------------------------------------------
 
 
+def fractional_symbols(grid: GridSpec, time: TimeModel, p: FracParams, t: float, allow_unstable: bool = False):
+    """The wave-multiplier pair boosted by (d^2 + m^2)^{alpha}; see fractional_kernels."""
+    c, s = wave_symbols(grid, time, p.m, t, allow_unstable=allow_unstable)
+    boost = _power_multiplier(grid, p.m, p.alpha)
+    return boost * c, boost * s
+
+
 def fractional_kernels(grid: GridSpec, time: TimeModel, p: FracParams, t: float, allow_unstable: bool = False):
-    """Kernels K0/K1 boosted by (d^2 + m^2)^{alpha}.
+    """Kernels K0/K1 boosted by (d^2 + m^2)^{alpha}: inverse transforms of ``fractional_symbols``.
 
     Convolving them with alpha-damped data cancels the powers spectrally,
     so the fractional route reproduces the plain solver.
     """
-    lam = lambda_field(grid, p.m)
-    c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
-    boost = _power_multiplier(grid, p.m, p.alpha)
-    return scalar_kernel(grid, boost * c), scalar_kernel(grid, boost * s)
+    c, s = fractional_symbols(grid, time, p, t, allow_unstable=allow_unstable)
+    return scalar_kernel(grid, c), scalar_kernel(grid, s)
 
 
 def solve_kg_fractional(data: CauchyData, time: TimeModel, p: FracParams, t: float,
@@ -384,7 +390,7 @@ def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float,
     the first-order (Riesz-direction) term; at t = 0 it is the identity.
     """
     zm = _dirac_symbol(phi.grid, p.alpha, p.m)
-    c, s = time.multipliers(lambda_field(phi.grid, p.m), t, allow_unstable=allow_unstable)
+    c, s = wave_symbols(phi.grid, time, p.m, t, allow_unstable=allow_unstable)
     F = dft(phi)
     P = apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s)
     return idft(P, out=P.columns)

@@ -6,13 +6,21 @@ by the first-order symbol), and transformed back.
 
     Psi(t) = idft[ c(lambda, t) F Phi0 + s(lambda, t) F Phi1 ]
 
-with (c, s) the wave-multiplier pair of the chosen time model.  For the
-central-difference model the result satisfies the three-level leapfrog
-recurrence exactly (per mode), which the residual helpers check; an
-independent position-space leapfrog marcher is provided as a brute-force
+with (c, s) the wave-multiplier pair of the chosen time model.  Only c and s
+depend on t.  A ``Propagator`` is the plan of one run: it transforms the
+Cauchy data once, on its first slice, keeps F Phi0, F Phi1 and lambda, and
+then evaluates every slice with one multiplier pair, one combine and one
+inverse transform.  ``solve_kg`` and ``solve_dirac`` take either the data,
+for a one-shot solve that combines in its own transforms, or a plan.  Both
+routes run the same ``_combine``, so a slice has the same bits either way.
+
+For the central-difference model the result satisfies the three-level
+leapfrog recurrence exactly (per mode), which the residual helpers check;
+an independent position-space leapfrog marcher is provided as a brute-force
 cross-check.  The kernel path (inverse transforms of c and s, combined by
 discrete convolution with a (2 pi)^|-n/2| normalization) is a second,
-deliberately separate route to the same solution.
+deliberately separate route to the same solution.  None of these twins
+touches a plan or ``_combine`` (see tests/test_oracle_independence.py).
 
 Admissible times: any real for the continuous model; integer multiples of
 tau/2 for the central-difference model (negative multiples run the
@@ -36,10 +44,12 @@ from .umbral import (
 __all__ = [
     "TimeModel",
     "CauchyData",
+    "Propagator",
     "lambda_field",
     "lambda_max",
     "solve_kg",
     "solve_kg_by_kernels",
+    "wave_symbols",
     "wave_kernels",
     "kg_residual",
     "continuous_kg_residual",
@@ -131,32 +141,94 @@ def lambda_max(grid: GridSpec, m: float) -> float:
     return float(np.sqrt(4.0 * grid.n / grid.h**2 + float(m) ** 2))
 
 
-def _combine(data: CauchyData, c: np.ndarray, s: np.ndarray) -> LatticeField:
-    """idft(c F Phi0 + s F Phi1), computed in the two transforms' own buffers."""
-    support, (F0, F1) = align(dft(data.phi0), dft(data.phi1))
+def _combine(F0: SpectralField, F1: SpectralField, c: np.ndarray, s: np.ndarray, owned: bool) -> LatticeField:
+    """idft(c F0 + s F1) on the union of the two supports.
+
+    ``owned`` says that F0 and F1 were made for this call, so the combine
+    may overwrite them.  Otherwise it writes only into buffers it allocates
+    (``align`` pads a missing column into a fresh copy), and F0 and F1 keep
+    their values for the next slice.
+    """
+    support, (A, B) = align(F0, F1)
     # c[..., None] * F0 + s[..., None] * F1 in that operand order, which fixes the bits
-    np.multiply(c[..., None], F0, out=F0)
-    np.multiply(s[..., None], F1, out=F1)
-    F0 += F1
-    return idft(SpectralField._of(data.grid, support, F0), out=F0)
+    A = np.multiply(c[..., None], A, out=A if owned or A is not F0.columns else None)
+    B = np.multiply(s[..., None], B, out=B if owned or B is not F1.columns else None)
+    A += B
+    return idft(SpectralField._of(F0.grid, support, A), out=A)
 
 
-def solve_kg(data: CauchyData, time: TimeModel, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
-    """Klein-Gordon evolution: L_t^2 Psi = (Laplacian - m^2) Psi with data (Phi0, Phi1)."""
-    lam = lambda_field(data.grid, m)
-    c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
-    return _combine(data, c, s)
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha <= 0.5):
+        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
+
+
+class Propagator:
+    """Propagation plan of one run: the Cauchy data transformed once, for every slice.
+
+    ``Propagator(data, m)`` plans the Klein-Gordon flow of ``data``;
+    ``Propagator.dirac(phi0, alpha, m)`` plans the first-order flow from
+    Phi0, whose velocity i(D - m gamma)Phi0 it derives from its own F Phi0
+    by the idft -> dft round trip that ``dirac_data`` makes.  Nothing is
+    transformed until the first slice.  Then the plan keeps lambda, F Phi0 on
+    Phi0's own support and F Phi1, and each slice ``at(time, t)`` costs one
+    multiplier pair, one ``_combine`` into fresh buffers and one ``idft``.
+    """
+
+    def __init__(self, data: CauchyData, m: float):
+        self.grid, self.m, self.alpha = data.grid, float(m), None
+        self._data = data
+        self._spectra = None  # (lambda, F Phi0, F Phi1), made by the first slice
+
+    @classmethod
+    def dirac(cls, phi0: LatticeField, alpha: float, m: float) -> "Propagator":
+        _check_alpha(alpha)
+        plan = cls(CauchyData.rest(phi0), m)  # its zero Phi1 is never read: the first slice derives Phi1
+        plan.alpha = float(alpha)
+        return plan
+
+    def _checked(self, m: float, alpha: float | None = None) -> "Propagator":
+        """The plan itself, if it was built for this mass and flow."""
+        if (float(m), alpha) != (self.m, self.alpha):
+            raise ValueError(f"plan built for m={self.m}, alpha={self.alpha}; asked for m={m}, alpha={alpha}")
+        return self
+
+    def at(self, time: TimeModel, t: float, allow_unstable: bool = False) -> LatticeField:
+        """The slice Psi(t) of the planned flow under ``time``."""
+        if self._spectra is None:
+            F0 = dft(self._data.phi0)
+            phi1 = self._data.phi1 if self.alpha is None else _dirac_velocity(F0, self.alpha, self.m)
+            self._spectra = (lambda_field(self.grid, self.m), F0, dft(phi1))
+        lam, F0, F1 = self._spectra
+        c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
+        return _combine(F0, F1, c, s, owned=False)
+
+
+def solve_kg(data: CauchyData | Propagator, time: TimeModel, m: float, t: float,
+             allow_unstable: bool = False) -> LatticeField:
+    """Klein-Gordon evolution: L_t^2 Psi = (Laplacian - m^2) Psi with data (Phi0, Phi1).
+
+    ``data`` may be a ``Propagator`` of the same mass, which evaluates the
+    slice from the transforms it keeps.
+    """
+    if isinstance(data, Propagator):
+        return data._checked(m).at(time, t, allow_unstable)
+    c, s = wave_symbols(data.grid, time, m, t, allow_unstable=allow_unstable)
+    return _combine(dft(data.phi0), dft(data.phi1), c, s, owned=True)
+
+
+def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
+    """The wave-multiplier pair (c, s) at time t, sampled on the momentum grid."""
+    return time.multipliers(lambda_field(grid, m), t, allow_unstable=allow_unstable)
 
 
 def wave_kernels(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
-    """Propagation kernels (K0, K1): inverse transforms of the multipliers.
+    """Propagation kernels (K0, K1): inverse transforms of the multipliers ``wave_symbols``.
 
     K0 at t = 0 is the inverse transform of the constant 1; both kernels are
     real for real-even multipliers.  solve_kg_by_kernels shows the exact
     convolution recipe that rebuilds the solution from them.
     """
-    lam = lambda_field(grid, m)
-    c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
+    c, s = wave_symbols(grid, time, m, t, allow_unstable=allow_unstable)
     return scalar_kernel(grid, c), scalar_kernel(grid, s)
 
 
@@ -229,9 +301,9 @@ def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | 
 # -- Dirac ---------------------------------------------------------------------
 
 
-def _dirac_velocity(f: LatticeField, alpha: float, m: float) -> LatticeField:
-    """i (D - m gamma) f, the factor i applied after the Clifford product."""
-    V = apply_multiplier(dft(f), _dirac_symbol(f.grid, alpha, m))
+def _dirac_velocity(F: SpectralField, alpha: float, m: float) -> LatticeField:
+    """i (D - m gamma) f from F = dft(f), the factor i applied after the Clifford product."""
+    V = apply_multiplier(F, _dirac_symbol(F.grid, alpha, m))
     cols = V.columns  # a fresh product: scaled and inverted in place
     cols *= 1j
     return idft(V, out=cols)
@@ -239,19 +311,22 @@ def _dirac_velocity(f: LatticeField, alpha: float, m: float) -> LatticeField:
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
     """Cauchy pair (Phi0, i(D - m gamma)Phi0) that drives the first-order flow."""
-    if not (0.0 <= alpha <= 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
-    return CauchyData(phi0, _dirac_velocity(phi0, alpha, m))
+    _check_alpha(alpha)
+    return CauchyData(phi0, _dirac_velocity(dft(phi0), alpha, m))
 
 
-def solve_dirac(phi0: LatticeField, time: TimeModel, alpha: float, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
+def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, m: float, t: float,
+                allow_unstable: bool = False) -> LatticeField:
     """First-order evolution -i L_t Psi = (D - m gamma) Psi, Psi(0) = Phi0.
 
     Realized by feeding the Klein-Gordon solver the derived velocity
     Phi1 = i (D - m gamma) Phi0; the factorization (D - m gamma)^2 =
     -Laplacian + m^2 makes the pair solve the first-order equation on the
-    t-grid.
+    t-grid.  ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha
+    and mass.
     """
+    if isinstance(phi0, Propagator):
+        return phi0._checked(m, alpha).at(time, t, allow_unstable)
     return solve_kg(dirac_data(phi0, alpha, m), time, m, t, allow_unstable=allow_unstable)
 
 
@@ -259,7 +334,7 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
     quot = (psi_plus - psi_minus) * (1.0 / float(tau))
-    rhs = _dirac_velocity(psi_mid, alpha, m)
+    rhs = _dirac_velocity(dft(psi_mid), alpha, m)
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
         return 0.0
@@ -274,7 +349,7 @@ def continuous_dirac_residual(phi0: LatticeField, alpha: float, m: float, t: flo
     estimated order), the plain central-quotient residuals being O(delta^2).
     """
     return _richardson(dirac_data(phi0, alpha, m), m, t, delta,
-                       lambda mid: _dirac_velocity(mid, alpha, m),
+                       lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,27 @@ if os.environ.get("CI"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Live counts of dft/idft calls, in every latticewave namespace that holds them."""
+    import latticewave.spectral as spectral
+
+    calls = {"dft": 0, "idft": 0}
+    modules = [m for name, m in sys.modules.items() if m is not None and name.startswith("latticewave")]
+    for name in calls:
+        orig = getattr(spectral, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 @pytest.fixture

@@ -242,6 +242,35 @@ def test_evolve_fractional_matches_plain(tmp_path):
     assert max(meta["residuals"]["kg_residual"].values()) <= 1e-9
 
 
+SHARED = dict(dim=2, points=4, spacing=1.0, mass=0.5, initial_data="gaussian", width=1.0)
+STEPPED = dict(time_model="central_difference", tau=0.5)
+EVOLVE = {
+    "klein_gordon": dict(equation="klein_gordon", **STEPPED, initial_velocity="plane_wave", velocity_modes="1,0"),
+    "continuous": dict(equation="klein_gordon", time_model="continuous", initial_velocity="gaussian",
+                       velocity_width=1.5),
+    "dirac": dict(equation="dirac", alpha=0.25, **STEPPED),
+    "heat": dict(equation="heat"),
+    "fractional_kg": dict(equation="fractional_kg", frac_alpha=0.3, **STEPPED),
+}
+
+
+@pytest.mark.parametrize("run", sorted(EVOLVE))
+def test_evolve_slices_match_runs_of_each_time_alone(tmp_path, run):
+    # the times share slices with each other's checks, repeat one and hold both signed zeros
+    times = ["1.0", "0.0", "-0.0", "0.5", "1.0", "1.5"]
+    together = tmp_path / "together"
+    cfg = _config(tmp_path, **SHARED, **EVOLVE[run], times=",".join(times))
+    assert main(["evolve", "--config", cfg, "--out", str(together)]) == 0
+    residuals = json.loads((together / "metadata.json").read_text())["residuals"]
+    for idx, t in enumerate(times):
+        alone = tmp_path / f"alone{idx}"
+        cfg = _config(tmp_path, f"alone{idx}.cfg", **SHARED, **EVOLVE[run], times=t)
+        assert main(["evolve", "--config", cfg, "--out", str(alone)]) == 0
+        assert (together / f"field_{idx:03d}.csv").read_bytes() == (alone / "field_000.csv").read_bytes()
+        for kind, per_time in json.loads((alone / "metadata.json").read_text())["residuals"].items():
+            assert residuals[kind][t] == per_time[t]
+
+
 def test_evolve_from_stored_field(tmp_path):
     first = tmp_path / "first"
     assert main(["evolve", "--config", _config(tmp_path, **KG), "--out", str(first)]) == 0

@@ -14,7 +14,6 @@ the per-node rule it replaced, which the new one must match to 1e-14.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -330,27 +329,8 @@ def test_multiply_field_applies_multipliers_in_order(field):
 # -- transform counts -------------------------------------------------------------
 
 
-def _count_transforms(monkeypatch):
-    """Count dft/idft calls in every latticewave namespace that holds them."""
-    calls = {"dft": 0, "idft": 0}
-    modules = [m for name, m in sys.modules.items() if m is not None and name.startswith("latticewave")]
-    for name in calls:
-        orig = getattr(spectral, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
-
-
-def test_subordination_transforms_its_field_once(monkeypatch):
+def test_subordination_transforms_its_field_once(transforms):
     f = random_field(GridSpec((4, 4), 0.8), np.random.default_rng(3))
-    calls = _count_transforms(monkeypatch)
     frac_power(f, FracParams(0.25, 1.0), "subordination")
-    assert calls == {"dft": 1, "idft": 1}
+    assert transforms == {"dft": 1, "idft": 1}
 

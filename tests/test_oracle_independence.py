@@ -60,6 +60,20 @@ class Row:
     shared: dict = field(default_factory=dict)
 
 
+def _solve_kg(x):
+    """The closed form both ways: a one-shot solve and a plan's slice."""
+    propagators.solve_kg(x.data, x.time, x.m, 3 * TAU)
+    propagators.solve_kg(propagators.Propagator(x.data, x.m), x.time, x.m, 3 * TAU)
+
+
+def _solve_dirac(x):
+    alpha = x.grid.alpha
+    propagators.solve_dirac(x.data.phi0, x.time, alpha, x.m, TAU)
+    propagators.solve_dirac(propagators.Propagator.dirac(x.data.phi0, alpha, x.m), x.time, alpha, x.m, TAU)
+
+
+KG_PATH = (propagators.Propagator, propagators._combine, umbral.wave_multiplier_arrays)
+
 ROWS = [
     Row(
         "transforms",
@@ -70,26 +84,29 @@ ROWS = [
     ),
     Row(
         "kg-leapfrog",
-        lambda x: propagators.solve_kg(x.data, x.time, x.m, 3 * TAU),
+        _solve_kg,
         lambda x: propagators.leapfrog_march(x.data.phi0, x.data.phi1, x.m, TAU, 3),
-        path=(propagators._combine, umbral.wave_multiplier_arrays),
-        never=(propagators._combine, propagators.solve_kg, propagators.TimeModel, spectral, umbral, np.fft),
-        shared={lattice.discrete_laplacian: "the position-space stencil; criterion 2 checks (D - m gamma)^2 against it"},
+        path=KG_PATH,
+        never=(propagators.Propagator, propagators._combine, propagators.solve_kg, propagators.TimeModel,
+               spectral, umbral, np.fft),
+        shared={lattice.discrete_laplacian: "the position-space stencil; "
+                "criterion 2 checks (D - m gamma)^2 against it"},
     ),
     Row(
         "kg-chebyshev",
-        lambda x: propagators.solve_kg(x.data, x.time, x.m, 3 * TAU),
+        _solve_kg,
         lambda x: propagators.chebyshev_solve(x.data, TAU, x.m, 3 * TAU),
-        path=(propagators._combine, umbral.wave_multiplier_arrays),
-        never=(propagators._combine, propagators.solve_kg, propagators.lambda_field, propagators.TimeModel, umbral),
+        path=KG_PATH,
+        never=(propagators.Propagator, propagators._combine, propagators.solve_kg, propagators.lambda_field,
+               propagators.TimeModel, umbral),
         shared={spectral.dft: TRANSFORMS, spectral.idft: TRANSFORMS, spectral.d2_field: SYMBOL},
     ),
     Row(
         "kg-kernels",
-        lambda x: propagators.solve_kg(x.data, x.time, x.m, 3 * TAU),
+        _solve_kg,
         lambda x: propagators.solve_kg_by_kernels(x.data, x.time, x.m, 3 * TAU),
-        path=(propagators._combine, umbral.wave_multiplier_arrays),
-        never=(propagators._combine, propagators.solve_kg),
+        path=KG_PATH,
+        never=(propagators.Propagator, propagators._combine, propagators.solve_kg),
         shared={
             umbral.wave_multiplier_arrays: "the kernels transform the same multiplier pair, so this row checks the "
             "convolution route; criterion 5 checks the pair against the leapfrog recurrence",
@@ -102,7 +119,8 @@ ROWS = [
         lambda x: spectral.convolve_direct(x.f, x.g),
         path=(spectral.dft, spectral.idft, clifford.mul_columns),
         never=(spectral.convolve, spectral.dft, spectral.idft, spectral._transform, spectral.reflect, np.fft),
-        shared={clifford._product: "the pointwise geometric product; criterion 1 checks it against the algebra relations"},
+        shared={clifford._product: "the pointwise geometric product; "
+                "criterion 1 checks it against the algebra relations"},
     ),
     Row(
         "heat-kernel",
@@ -124,11 +142,11 @@ ROWS = [
     ),
     Row(
         "dirac-residual",
-        lambda x: propagators.solve_dirac(x.data.phi0, x.time, x.grid.alpha, x.m, TAU),
+        _solve_dirac,
         lambda x: propagators.dirac_residual(x.f, x.data.phi0, x.g, x.grid.alpha, x.m, TAU),
-        path=(propagators._combine, propagators.dirac_data, umbral.wave_multiplier_arrays),
-        never=(propagators.solve_dirac, propagators.solve_kg, propagators.dirac_data, propagators._combine,
-               propagators.TimeModel, umbral),
+        path=(propagators.Propagator, propagators._combine, propagators.dirac_data, umbral.wave_multiplier_arrays),
+        never=(propagators.Propagator, propagators.solve_dirac, propagators.solve_kg, propagators.dirac_data,
+               propagators._combine, propagators.TimeModel, umbral),
         shared={propagators._dirac_velocity: "i(D - m gamma), the equation's own right-hand side; "
                 "criterion 2 checks its square against the Laplacian stencil"},
     ),
@@ -214,8 +232,8 @@ def test_twin_stays_off_the_closed_form(row, grid):
 # -- planted faults -----------------------------------------------------------------
 
 
-def _kg_through_solve_kg(data, tau, m, t):
-    return propagators.solve_kg(data, TimeModel.central_difference(tau), m, t)
+def _kg_through_the_plan(data, tau, m, t):
+    return propagators.Propagator(data, m).at(TimeModel.central_difference(tau), t)
 
 
 def _leapfrog_through_solve_kg(prev, cur, m, tau, steps):
@@ -227,7 +245,7 @@ def _subordination_through_the_power(f, p):
 
 
 PLANTED = [
-    ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_solve_kg, "propagators._combine"),
+    ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
     ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),
 ]

@@ -3,9 +3,12 @@
 ``dft`` and ``idft`` run every FFT axis pass and the scaling in one output
 buffer.  ``multiply_field`` scales its own transform in place by a scalar
 multiplier and inverts it in place; ``solve_kg`` combines its two
-transforms in their own buffers; ``discrete_laplacian`` builds each axis
-term from wrapped copies of one block of rows; subordination builds its
-position-space head in two buffers.  Three things are pinned here:
+transforms in their own buffers, and a ``Propagator`` slice combines into
+fresh ones, so that the plan keeps its transforms; ``discrete_laplacian``
+builds each axis term from wrapped copies of one block of rows;
+subordination builds its position-space head in two buffers; the sum or
+difference of two fields takes the buffer of an operand that ``align``
+padded.  Three things are pinned here:
 
 * bits: each rewritten expression against the one it replaced (the
   ``_ref_*`` functions), with equal ``tobytes()`` on inputs holding signed
@@ -30,6 +33,7 @@ from latticewave import (
     FracParams,
     GridSpec,
     LatticeField,
+    Propagator,
     SpectralField,
     TimeModel,
     apply_multiplier,
@@ -135,6 +139,11 @@ def _ref_combine(data, c, s):
     return _ref_idft(SpectralField._of(data.grid, support, c[..., None] * F0 + s[..., None] * F1))
 
 
+def _ref_arith(f, g, op):
+    support, (a, b) = align(f, g)
+    return f._like(support, op(a, b))
+
+
 def _ref_laplacian(f):
     vals = f.columns
     out = np.zeros_like(vals)
@@ -176,8 +185,16 @@ def test_in_place_paths_keep_the_bits(grid, kind, pool):
         _same(multiply_field(f, scalar, zm, np.exp(-d2)), _ref_multiply_field(f, scalar, zm, np.exp(-d2)))
         _same(multiply_field(f), _ref_multiply_field(f))
         for data in (CauchyData(f, f1), CauchyData(_field(grid, kind, _normal(3)), f1)):  # a NaN in F0 hides F1's
-            _same(_combine(data, c, s), _ref_combine(data, c, s))
+            want = _ref_combine(data, c, s)
+            _same(_combine(dft(data.phi0), dft(data.phi1), c, s, owned=True), want)
+            F0, F1 = dft(data.phi0), dft(data.phi1)  # a plan's transforms: kept for the next slice
+            spectra = F0.columns.tobytes(), F1.columns.tobytes()
+            _same(_combine(F0, F1, c, s, owned=False), want)
+            assert (F0.columns.tobytes(), F1.columns.tobytes()) == spectra
         _same(discrete_laplacian(f), _ref_laplacian(f))
+        for a, b in ((f, f1), (f1, f)):  # either operand may be the one align pads
+            _same(a + b, _ref_arith(a, b, np.add))
+            _same(a - b, _ref_arith(a, b, np.subtract))
         _same(_subordination_head(f, 0.03, 0.3, 1.1), _ref_head(f, 0.03, 0.3, 1.1))
         _same(scalar_kernel(grid, scalar), _ref_idft(SpectralField._of(grid, (0,), scalar[..., None].astype(complex))))
 
@@ -217,6 +234,7 @@ TIME = TimeModel.central_difference(0.1)
 def _calls(grid, f):
     """(name, call) for every public function on the path, applied to ``f``."""
     other = random_field(grid, np.random.default_rng(3))
+    m = grid.mass
     return [
         ("dft", lambda: dft(f)),
         ("idft", lambda: idft(SpectralField._of(grid, f.support, f.columns))),
@@ -227,7 +245,12 @@ def _calls(grid, f):
         ("solve_kg", lambda: solve_kg(CauchyData(f, other), TIME, grid.mass, 0.2)),
         ("solve_kg velocity", lambda: solve_kg(CauchyData(other, f), TIME, grid.mass, 0.2)),
         ("solve_dirac", lambda: solve_dirac(f, TIME, grid.alpha, grid.mass, 0.2)),
+        ("plan", lambda: solve_kg(Propagator(CauchyData(f, other), m), TIME, m, 0.2)),
+        ("plan velocity", lambda: solve_kg(Propagator(CauchyData(other, f), m), TIME, m, 0.2)),
+        ("dirac plan", lambda: solve_dirac(Propagator.dirac(f, grid.alpha, m), TIME, grid.alpha, m, 0.2)),
         ("discrete_laplacian", lambda: discrete_laplacian(f)),
+        ("add", lambda: f + other),
+        ("subtract", lambda: other - f),
         ("riesz", lambda: riesz(f, PARAMS)),
         ("dirac_h_alpha", lambda: dirac_h_alpha(f)),
     ]

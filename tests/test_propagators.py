@@ -12,6 +12,7 @@ from latticewave import (
     DeltaOperator,
     GridSpec,
     LatticeField,
+    Propagator,
     TimeModel,
     chebyshev_solve,
     chebyshev_t,
@@ -325,3 +326,64 @@ def test_dirac_data_alpha_zero_matches_position_stencil(rng):
     data = dirac_data(f, 0.0, 0.0)
     want = dirac_kahler(f) * 1j
     assert relative_gap(data.phi1, want) <= 1e-12
+
+
+# -- propagation plan ------------------------------------------------------------
+
+PLAN_GRIDS = [GridSpec((8,), 0.7, 0.25, 0.9), GridSpec((6, 4), 0.5, 0.1, 1.3), GridSpec((4, 4, 2), 0.8, 0.5, 0.6)]
+PLAN_TIMES = (0.3, -0.2, 0.0, 0.3, 1.5)  # multiples of tau/2 below; a repeat must find the plan unchanged
+
+
+def _bits(f):
+    return f.support, f.columns.tobytes()
+
+
+@pytest.mark.parametrize("time", [TimeModel.continuous(), TimeModel.central_difference(0.1)],
+                         ids=["continuous", "central"])
+@pytest.mark.parametrize("grid", PLAN_GRIDS, ids=[f"{g.n}d" for g in PLAN_GRIDS])
+def test_plan_slices_have_the_bits_of_one_shot_solves(grid, time, rng):
+    m = grid.mass
+    for data in (
+        CauchyData(random_field(grid, rng), random_field(grid, rng, scalar=True)),
+        CauchyData(random_field(grid, rng, scalar=True), random_field(grid, rng)),
+        CauchyData.rest(LatticeField.gaussian(grid, 1.5)),  # a velocity with no columns at all
+    ):
+        plan = Propagator(data, m)
+        for t in PLAN_TIMES:
+            assert _bits(solve_kg(plan, time, m, t)) == _bits(solve_kg(data, time, m, t))
+    phi0 = random_field(grid, rng)
+    plan = Propagator.dirac(phi0, grid.alpha, m)
+    for t in PLAN_TIMES:
+        assert _bits(solve_dirac(plan, time, grid.alpha, m, t)) == _bits(solve_dirac(phi0, time, grid.alpha, m, t))
+
+
+def test_a_plan_answers_only_for_its_own_flow(rng):
+    grid = _grid1()
+    time = TimeModel.central_difference(0.5)
+    data = CauchyData(random_field(grid, rng), random_field(grid, rng))
+    kg, dirac = Propagator(data, 1.0), Propagator.dirac(data.phi0, 0.25, 1.0)
+    for call in (
+        lambda: solve_kg(kg, time, 2.0, 0.5),
+        lambda: solve_dirac(kg, time, 0.25, 1.0, 0.5),
+        lambda: solve_kg(dirac, time, 1.0, 0.5),
+        lambda: solve_dirac(dirac, time, 0.5, 1.0, 0.5),
+        lambda: solve_dirac(dirac, time, 0.25, 2.0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="plan built for"):
+            call()
+    with pytest.raises(ValueError, match="alpha"):
+        Propagator.dirac(data.phi0, 0.7, 1.0)
+
+
+def test_a_plan_guards_its_slices_like_the_solver(rng):
+    grid = _grid1(16, 0.5)
+    data = CauchyData(random_field(grid, rng), random_field(grid, rng))
+    plan = Propagator(data, 1.0)
+    fast = TimeModel.central_difference(1.0)  # lambda_max = 4.1 > 2/tau
+    with pytest.raises(CflViolationError):
+        solve_kg(plan, fast, 1.0, 1.0)
+    with pytest.raises(ValueError, match="multiple of tau/2"):
+        solve_kg(plan, TimeModel.central_difference(0.1), 1.0, 0.07)
+    unstable = solve_kg(plan, fast, 1.0, 1.0, allow_unstable=True)
+    assert _bits(unstable) == _bits(solve_kg(data, fast, 1.0, 1.0, allow_unstable=True))
+

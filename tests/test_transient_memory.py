@@ -11,6 +11,7 @@ before tracing starts, so they are not counted.  Symbols of shape
 | ``dft``, ``idft`` | 2.0 | 1.05 |
 | ``multiply_field`` by a scalar, ``heat_semigroup``, spectral ``frac_power`` | 3.0 | 1.1 |
 | ``solve_kg`` | 5.0 | 2.1 |
+| one ``Propagator`` slice, its transforms made | (new) | 2.1 |
 | ``discrete_laplacian`` | 3.0 | 2.1 |
 | subordination ``frac_power`` | 5.0 | 2.6 |
 """
@@ -24,6 +25,7 @@ from latticewave import (
     CauchyData,
     FracParams,
     GridSpec,
+    Propagator,
     TimeModel,
     dft,
     discrete_laplacian,
@@ -82,6 +84,14 @@ def test_klein_gordon_holds_its_two_transforms(fields):
     data = CauchyData(*fields)
     time = TimeModel.central_difference(0.25)  # inside the CFL bound: lambda_max = 4.44 < 2/tau
     _check(lambda: solve_kg(data, time, GRID.mass, 1.0), 2.1)
+
+
+def test_a_plan_slice_holds_two_fresh_buffers(fields):
+    # the warm-up call makes the plan's transforms; the traced one is a later slice
+    data = CauchyData(*fields)
+    plan = Propagator(data, GRID.mass)
+    time = TimeModel.central_difference(0.25)
+    _check(lambda: solve_kg(plan, time, GRID.mass, 1.0), 2.1)
 
 
 def test_laplacian_holds_its_result_and_two_blocks(fields):
