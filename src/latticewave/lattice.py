@@ -200,17 +200,17 @@ class _CompactField:
     def _like(self, support: tuple[int, ...], columns: np.ndarray):
         return type(self)._of(self.grid, support, columns)
 
-    def _combined(self, other, op):
+    def _elementwise(self, other, op):
         support, (a, b) = align(self, other)
         # a column that align padded is a fresh copy, so the result may take its buffer
         out = a if a is not self.columns else b if b is not other.columns else None
         return self._like(support, op(a, b, out=out))
 
     def __add__(self, other):
-        return self._combined(other, np.add)
+        return self._elementwise(other, np.add)
 
     def __sub__(self, other):
-        return self._combined(other, np.subtract)
+        return self._elementwise(other, np.subtract)
 
     def __neg__(self):
         return self._like(self.support, -self.columns)

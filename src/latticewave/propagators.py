@@ -141,6 +141,11 @@ def lambda_max(grid: GridSpec, m: float) -> float:
     return float(np.sqrt(4.0 * grid.n / grid.h**2 + float(m) ** 2))
 
 
+def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
+    """The wave-multiplier pair (c, s) at time t, sampled on the momentum grid."""
+    return time.multipliers(lambda_field(grid, m), t, allow_unstable=allow_unstable)
+
+
 def _combine(F0: SpectralField, F1: SpectralField, c: np.ndarray, s: np.ndarray, owned: bool) -> LatticeField:
     """idft(c F0 + s F1) on the union of the two supports.
 
@@ -214,11 +219,6 @@ def solve_kg(data: CauchyData | Propagator, time: TimeModel, m: float, t: float,
         return data._checked(m).at(time, t, allow_unstable)
     c, s = wave_symbols(data.grid, time, m, t, allow_unstable=allow_unstable)
     return _combine(dft(data.phi0), dft(data.phi1), c, s, owned=True)
-
-
-def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
-    """The wave-multiplier pair (c, s) at time t, sampled on the momentum grid."""
-    return time.multipliers(lambda_field(grid, m), t, allow_unstable=allow_unstable)
 
 
 def wave_kernels(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):

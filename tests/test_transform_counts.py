@@ -107,7 +107,10 @@ def test_kernel_transforms_only_the_stored_multiplier(kind, tmp_path, transforms
     time = TimeModel.central_difference(0.2)
     transforms["idft"] = 0
     for idx, t in enumerate(KERNEL_TIMES):
-        pair = wave_kernels(KERNEL_GRID, time, 1.0, t) if frac is None else fractional_kernels(KERNEL_GRID, time, frac, t)
+        if frac is None:
+            pair = wave_kernels(KERNEL_GRID, time, KERNEL_GRID.mass, t)
+        else:
+            pair = fractional_kernels(KERNEL_GRID, time, frac, t)
         ref = tmp_path / f"ref_{idx}.csv"
         store_field(pair[kind.startswith("K1")], str(ref))
         assert filecmp.cmp(out / f"kernel_{kind}_{idx:03d}.csv", ref, shallow=False)
