@@ -735,13 +735,6 @@ def cmd_kernel(args) -> int:
         return run.finish(_worst(run.residuals), kind=kind)
 
 
-def _blade_norms(n: int, support: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
-    # the two-norm of each row's 4**n coefficients, summed in Multivector.norm's order
-    sq = np.zeros(cols.shape[:-1] + (1 << (2 * n),))
-    sq[..., support] = np.abs(cols) ** 2
-    return np.sqrt(sq.sum(axis=-1))
-
-
 def cmd_spectrum(args) -> int:
     run = _Run(args, "spectrum", "dim", "points", "spacing")
     grid = _grid(run.cfg)
@@ -771,13 +764,11 @@ def cmd_spectrum(args) -> int:
                         slab = [np.array([xi1])] + axes[1:]
                         d2 = _d2_on(slab, h).ravel()
                         z = _z_on(slab, alpha, h).reshape(-1, 2 * n)
-                        support, zz = mul_columns(n, gens, z, gens, z)
-                        zz[:, 0] -= d2  # support[0] is the scalar blade
-                        # each coefficient squared by libm pow, as Python's ** does; numpy's x * x can differ by an ulp
-                        sq = (np.abs(z).astype(object) ** 2).astype(float)
-                        vel = np.sqrt(sum(sq[:, j] for j in range(n)))
-                        mas = np.sqrt(sum(sq[:, n + j] for j in range(n)))
-                        z_norm, err = _blade_norms(n, gens, z), _blade_norms(n, support, zz)
+                        _, zz = mul_columns(n, gens, z, gens, z)
+                        zz[:, 0] -= d2  # the product's support starts with the scalar blade
+                        sq = np.abs(z) ** 2  # columns e_1..e_n, then e_{n+1}..e_{2n}
+                        vel, mas = np.sqrt(sq[:, :n].sum(axis=1)), np.sqrt(sq[:, n:].sum(axis=1))
+                        z_norm, err = np.sqrt(sq.sum(axis=1)), np.sqrt((np.abs(zz) ** 2).sum(axis=1))
                         head = f"{zone_name},{alpha!r},{xi1!r},"
                         rows = zip(*(map(repr, v.tolist()) for v in (d2, z_norm, vel, mas, err)))
                         fh.writelines(f"{head}{tail}{','.join(row)}\n" for tail, row in zip(tails, rows))

@@ -31,6 +31,7 @@ cancelling spectrally.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ from .spectral import _dirac_symbol, apply_multiplier, convolve, d2_field, dft, 
 __all__ = [
     "FracParams",
     "heat_semigroup",
+    "heat_euler",
     "heat_kernel_spectral",
     "heat_kernel_bessel",
     "bessel_i",
@@ -77,6 +79,16 @@ def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
     """exp(s Laplacian) f via the multiplier e^{-s d(xi)^2}; s >= 0."""
     s = _heat_time(s)
     return multiply_field(f, np.exp(-s * d2_field(f.grid)))
+
+
+def heat_euler(f: LatticeField, s: float, steps: int) -> LatticeField:
+    """Explicit Euler march to time s in ``steps`` steps: heat_semigroup's first-order twin, without transforms."""
+    s = _heat_time(s)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    for _ in range(steps):
+        f = f + (s / steps) * discrete_laplacian(f)
+    return f
 
 
 def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:
@@ -190,6 +202,8 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if abs(z) > ML_MAX_ABS:
         raise ValueError(f"|z| = {abs(z):.3g} outside the series domain guard {ML_MAX_ABS}")
     # advance by the exact term ratio z * Gamma(beta+alpha k)/Gamma(beta+alpha(k+1))
@@ -248,12 +262,12 @@ class FracParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie strictly between 0 and 1/2, got {self.alpha}")
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        if not 0 < self.m < np.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.m}")
         if int(self.nodes) != self.nodes or self.nodes < 10:
             raise ValueError(f"need at least 10 quadrature nodes, got {self.nodes}")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not 0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if not self.head_tol > 0:
             raise ValueError("head_tol must be positive")
 

@@ -28,7 +28,6 @@ Sign conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -430,75 +429,9 @@ def inner_product(f: LatticeField, g: LatticeField) -> Multivector:
     return Multivector(f.grid.sig, total)
 
 
-# numpy sums contiguous doubles pairwise: a block of 8m values splits into
-# 8 * (m // 2) and the rest until it holds at most 128 values (16 rows of 8),
-# and a leaf block sums 8 interleaved lanes, combined as
-# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).  A dense field holds
-# sites * 4**n values, a multiple of 8, so every block is whole rows.
-_LEAF_ROWS = 16
-
-
-@lru_cache(maxsize=8)
-def _pairwise_plan(rows: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Leaf starts (in rows of 8 values) and, per tree level from the root,
-    which blocks split and the leaf index of each block that does not."""
-    starts, sizes = np.zeros(1, dtype=np.int64), np.array([rows], dtype=np.int64)
-    levels = []
-    while starts.size:
-        split = sizes > _LEAF_ROWS
-        levels.append((split, starts[~split]))
-        half = sizes[split] // 2
-        starts = np.stack([starts[split], starts[split] + half], axis=1).ravel()
-        sizes = np.stack([half, sizes[split] - half], axis=1).ravel()
-    leaf_starts = np.sort(np.concatenate([leaves for _, leaves in levels]))
-    return leaf_starts, [(split, np.searchsorted(leaf_starts, leaves)) for split, leaves in levels]
-
-
-@lru_cache(maxsize=16)
-def _lanes(sites: int, blades: int, support: tuple[int, ...]) -> np.ndarray:
-    """Flat (leaf, lane) slot of each active entry of the dense layout."""
-    pos = (np.arange(sites, dtype=np.int64)[:, None] * blades + np.array(support)).ravel()
-    leaf_starts, _ = _pairwise_plan(sites * blades // 8)
-    return (np.searchsorted(leaf_starts, pos >> 3, side="right") - 1) * 8 + (pos & 7)
-
-
-def _dense_sum(sq: np.ndarray, support: tuple[int, ...], blades: int):
-    """``np.sum`` over the dense ``(*shape, blades)`` layout of nonnegative
-    columns ``sq``, bit for bit, visiting only the active entries.
-
-    Adding +0 leaves a partial sum of nonnegative terms unchanged, so each
-    active value only needs its lane of its leaf block: ``np.add.at`` adds
-    them in position order, i.e. row by row within a lane, and the leaf
-    sums combine up the pairwise tree.
-    """
-    k = len(support)
-    if k == blades:
-        return np.sum(sq.reshape(-1))
-    if not k:
-        return 0.0
-    vals = sq.reshape(-1)
-    leaf_starts, levels = _pairwise_plan(vals.size // k * blades // 8)
-    r = np.zeros((leaf_starts.size, 8))
-    np.add.at(r.reshape(-1), _lanes(vals.size // k, blades, support), vals)
-    acc = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    below = None
-    for split, leaf_ids in reversed(levels):
-        level = np.empty(split.size)
-        level[~split] = acc[leaf_ids]
-        if below is not None:
-            level[split] = below[0::2] + below[1::2]
-        below = level
-    return below[0]
-
-
 def norm(f: LatticeField) -> float:
-    """sqrt of the scalar part of <f, f>; h**n weighted two-norm.
-
-    The squares are summed in the order of the dense layout, so the norm has
-    the same bits whatever the support.
-    """
-    sq = np.abs(f.columns) ** 2
-    return float(np.sqrt(f.grid.h**f.grid.n * _dense_sum(sq, f.support, f.grid.blades)))
+    """sqrt of the scalar part of <f, f>; h**n weighted two-norm over the active columns."""
+    return float(np.sqrt(f.grid.h**f.grid.n * np.sum(np.abs(f.columns) ** 2)))
 
 
 def relative_gap(got: LatticeField, want: LatticeField) -> float:

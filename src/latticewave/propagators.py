@@ -10,9 +10,10 @@ with (c, s) the wave-multiplier pair of the chosen time model.  Only c and s
 depend on t.  A ``Propagator`` is the plan of one run: it transforms the
 Cauchy data once, on its first slice, keeps F Phi0, F Phi1 and lambda, and
 then evaluates every slice with one multiplier pair, one combine and one
-inverse transform.  ``solve_kg`` and ``solve_dirac`` take either the data,
-for a one-shot solve that combines in its own transforms, or a plan.  Both
-routes run the same ``_combine``, so a slice has the same bits either way.
+inverse transform; a Dirac plan takes F Phi1 = i(z - m gamma) F Phi0 from
+F Phi0.  ``solve_kg`` and ``solve_dirac`` take either the data, for a
+one-shot solve that combines in its own transforms, or a plan.  Both routes
+run the same ``_combine``, so a slice has the same bits either way.
 
 For the central-difference model the result satisfies the three-level
 leapfrog recurrence exactly (per mode), which the residual helpers check;
@@ -94,6 +95,8 @@ class TimeModel:
 
     def validate_time(self, t: float) -> float:
         t = float(t)
+        if not np.isfinite(t):
+            raise ValueError(f"time t must be finite, got {t}")
         if self.kind == "central_difference":
             k = 2.0 * t / self.tau
             if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
@@ -172,11 +175,11 @@ class Propagator:
 
     ``Propagator(data, m)`` plans the Klein-Gordon flow of ``data``;
     ``Propagator.dirac(phi0, alpha, m)`` plans the first-order flow from
-    Phi0, whose velocity i(D - m gamma)Phi0 it derives from its own F Phi0
-    by the idft -> dft round trip that ``dirac_data`` makes.  Nothing is
-    transformed until the first slice.  Then the plan keeps lambda, F Phi0 on
-    Phi0's own support and F Phi1, and each slice ``at(time, t)`` costs one
-    multiplier pair, one ``_combine`` into fresh buffers and one ``idft``.
+    Phi0, whose velocity transform F Phi1 = i(z - m gamma) F Phi0 it takes
+    from its own F Phi0.  Nothing is transformed until the first slice.  Then
+    the plan keeps lambda, F Phi0 on Phi0's own support and F Phi1, and each
+    slice ``at(time, t)`` costs one multiplier pair, one ``_combine`` into
+    fresh buffers and one ``idft``.
     """
 
     def __init__(self, data: CauchyData, m: float):
@@ -201,8 +204,8 @@ class Propagator:
         """The slice Psi(t) of the planned flow under ``time``."""
         if self._spectra is None:
             F0 = dft(self._data.phi0)
-            phi1 = self._data.phi1 if self.alpha is None else _dirac_velocity(F0, self.alpha, self.m)
-            self._spectra = (lambda_field(self.grid, self.m), F0, dft(phi1))
+            F1 = dft(self._data.phi1) if self.alpha is None else _velocity_spectrum(F0, self.alpha, self.m)
+            self._spectra = (lambda_field(self.grid, self.m), F0, F1)
         lam, F0, F1 = self._spectra
         c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
         return _combine(F0, F1, c, s, owned=False)
@@ -259,22 +262,22 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     return norm(quot - rhs) / scale
 
 
-def _richardson(data: CauchyData, m: float, t: float, delta: float | None, rhs_of, quotient):
+def _richardson(plan: Propagator, t: float, delta: float | None, rhs_of, quotient):
     """(extrapolated residual, estimated order) of a central quotient in t.
 
-    ``quotient(plus, minus, mid, d)`` of the continuous-time solve_kg
-    slices at t + d, t - d and t is compared against ``rhs_of(mid)`` at
-    steps delta and delta/2.
+    ``quotient(plus, minus, mid, d)`` of the plan's continuous-time slices
+    at t + d, t - d and t is compared against ``rhs_of(mid)`` at steps
+    delta and delta/2.
     """
     time = TimeModel.continuous()
     if delta is None:
         delta = 1e-3 * max(1.0, abs(t))
-    mid = solve_kg(data, time, m, t)
+    mid = plan.at(time, t)
     rhs = rhs_of(mid)
     scale = max(norm(rhs), norm(mid), 1e-300)
 
     def resid(d: float) -> float:
-        quot = quotient(solve_kg(data, time, m, t + d), solve_kg(data, time, m, t - d), mid, d)
+        quot = quotient(plan.at(time, t + d), plan.at(time, t - d), mid, d)
         return norm(quot - rhs) / scale
 
     r1 = resid(delta)
@@ -293,7 +296,7 @@ def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | 
     the order estimate should sit near 2 and the extrapolation well below
     either.
     """
-    return _richardson(data, m, t, delta,
+    return _richardson(Propagator(data, m), t, delta,
                        lambda mid: discrete_laplacian(mid) - (float(m) ** 2) * mid,
                        lambda plus, minus, mid, d: (plus - 2.0 * mid + minus) * (1.0 / d**2))
 
@@ -301,12 +304,18 @@ def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | 
 # -- Dirac ---------------------------------------------------------------------
 
 
-def _dirac_velocity(F: SpectralField, alpha: float, m: float) -> LatticeField:
-    """i (D - m gamma) f from F = dft(f), the factor i applied after the Clifford product."""
+def _velocity_spectrum(F: SpectralField, alpha: float, m: float) -> SpectralField:
+    """i (z - m gamma) F = dft(i (D - m gamma) f) from F = dft(f), i applied after the product."""
     V = apply_multiplier(F, _dirac_symbol(F.grid, alpha, m))
-    cols = V.columns  # a fresh product: scaled and inverted in place
+    cols = V.columns  # a fresh product: scaled in place
     cols *= 1j
-    return idft(V, out=cols)
+    return V
+
+
+def _dirac_velocity(F: SpectralField, alpha: float, m: float) -> LatticeField:
+    """i (D - m gamma) f from F = dft(f)."""
+    V = _velocity_spectrum(F, alpha, m)
+    return idft(V, out=V.columns)
 
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
@@ -319,15 +328,18 @@ def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, 
                 allow_unstable: bool = False) -> LatticeField:
     """First-order evolution -i L_t Psi = (D - m gamma) Psi, Psi(0) = Phi0.
 
-    Realized by feeding the Klein-Gordon solver the derived velocity
-    Phi1 = i (D - m gamma) Phi0; the factorization (D - m gamma)^2 =
-    -Laplacian + m^2 makes the pair solve the first-order equation on the
-    t-grid.  ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha
+    Realized as the Klein-Gordon flow with the derived velocity Phi1 =
+    i (D - m gamma) Phi0, transformed as i(z - m gamma) F Phi0; the
+    factorization (D - m gamma)^2 = -Laplacian + m^2 makes the pair solve
+    the first-order equation on the t-grid.  ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha
     and mass.
     """
     if isinstance(phi0, Propagator):
         return phi0._checked(m, alpha).at(time, t, allow_unstable)
-    return solve_kg(dirac_data(phi0, alpha, m), time, m, t, allow_unstable=allow_unstable)
+    _check_alpha(alpha)
+    c, s = wave_symbols(phi0.grid, time, m, t, allow_unstable=allow_unstable)
+    F0 = dft(phi0)
+    return _combine(F0, _velocity_spectrum(F0, alpha, m), c, s, owned=True)
 
 
 def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: LatticeField,
@@ -348,7 +360,7 @@ def continuous_dirac_residual(phi0: LatticeField, alpha: float, m: float, t: flo
     Same contract as continuous_kg_residual: returns (extrapolated residual,
     estimated order), the plain central-quotient residuals being O(delta^2).
     """
-    return _richardson(dirac_data(phi0, alpha, m), m, t, delta,
+    return _richardson(Propagator.dirac(phi0, alpha, m), t, delta,
                        lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 
@@ -394,9 +406,11 @@ def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> Lattice
     stability bound (chi real) and must agree with solve_kg on the
     central-difference model.
     """
-    tau = float(tau)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau, t = float(tau), float(t)
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not np.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     kf = 2.0 * t / tau
     k = round(kf)
     if abs(kf - k) > 1e-9 * max(1.0, abs(kf)) or k < 0:

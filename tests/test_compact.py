@@ -2,8 +2,10 @@
 
 A field stores only its active blade columns.  Every operation that works on
 those columns must give, on each column active in the dense result, the bits
-of the dense computation it replaced, and exact zeros elsewhere.  The dense
-references below are the straightforward ``(*shape, 4**n)`` algorithms.
+of the dense computation it replaced, and exact zeros elsewhere.  The one
+exception is ``norm``: it sums the squares of the active columns in their own
+order, and must stay within 2 ulps of the dense sum.  The dense references
+below are the straightforward ``(*shape, 4**n)`` algorithms.
 """
 
 import os
@@ -168,9 +170,11 @@ def test_compact_operations_equal_dense(g, bits, seed, scalar):
     _same(LatticeField.constant(g, mv), np.broadcast_to(mv.coeffs, a_vals.shape).copy())
     support, cols = mul_columns(g.n, a.support, a.columns, b.support, b.columns)
     _same(LatticeField._of(g, support, cols), _mul(g.n, a_vals, b_vals))
-    # norms sum in the dense order, so they keep their bits
-    assert norm(a) == _norm(a_vals, g)
-    scale, diff = _norm(b_vals, g), _norm(a_vals - b_vals, g)
+    # a norm sums the active columns only, so it may leave the dense sum's bits by summation order
+    for f, vals in ((a, a_vals), (b, b_vals), (a - b, a_vals - b_vals)):
+        np.testing.assert_array_max_ulp(norm(f), _norm(vals, g), maxulp=2)
+    # and a relative gap is the quotient of two such norms
+    scale, diff = norm(b), norm(a - b)
     assert relative_gap(a, b) == (diff / scale if scale > 1e-300 else diff)
     # transforms, multipliers, the propagators' combination
     A, B = _dft(a_vals, g), _dft(b_vals, g)
@@ -183,8 +187,7 @@ def test_compact_operations_equal_dense(g, bits, seed, scalar):
     time = TimeModel.central_difference(0.25)  # inside the CFL bound of every grid here
     c, s = time.multipliers(lam, 0.75)
     _same(solve_kg(CauchyData(a, b), time, g.mass, 0.75), _combine(g, A, B, c, s))
-    velocity = _idft(1j * _mul(g.n, zm, A), g)
-    _same(solve_dirac(a, time, g.alpha, g.mass, 0.75), _combine(g, A, _dft(velocity, g), c, s))
+    _same(solve_dirac(a, time, g.alpha, g.mass, 0.75), _combine(g, A, 1j * _mul(g.n, zm, A), c, s))
     reflected = a_vals
     for axis in range(g.n):
         reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)

@@ -262,6 +262,25 @@ def test_non_finite_argument_is_rejected(name, value):
         call(value)
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(0.5, math.nan), math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "nan-imag", "inf", "-inf-imag"])
+def test_mittag_leffler_rejects_non_finite_argument(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        mittag_leffler(0.5, 1.0, z)
+
+
+@pytest.mark.parametrize("m", [math.inf, math.nan])
+def test_frac_params_reject_non_finite_mass(m):
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        FracParams(0.25, m)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_frac_params_reject_non_finite_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        FracParams(0.25, 1.0, t_max=t_max)
+
+
 def test_mittag_leffler_classical_identities():
     for z in (0.5, -2.0, 3.0j, 1.0 - 1.0j):
         assert abs(mittag_leffler(1.0, 1.0, z) - np.exp(z)) <= 1e-13 * abs(np.exp(z))

@@ -144,11 +144,28 @@ ROWS = [
         "dirac-residual",
         _solve_dirac,
         lambda x: propagators.dirac_residual(x.f, x.data.phi0, x.g, x.grid.alpha, x.m, TAU),
-        path=(propagators.Propagator, propagators._combine, propagators.dirac_data, umbral.wave_multiplier_arrays),
+        path=(propagators.Propagator, propagators._combine, propagators._velocity_spectrum,
+              umbral.wave_multiplier_arrays),
         never=(propagators.Propagator, propagators.solve_dirac, propagators.solve_kg, propagators.dirac_data,
                propagators._combine, propagators.TimeModel, umbral),
-        shared={propagators._dirac_velocity: "i(D - m gamma), the equation's own right-hand side; "
-                "criterion 2 checks its square against the Laplacian stencil"},
+        shared={
+            propagators._dirac_velocity: "i(D - m gamma), the equation's own right-hand side; "
+            "criterion 2 checks its square against the Laplacian stencil",
+            propagators._velocity_spectrum: "the transform i(z - m gamma) F of that right-hand side, "
+            "which _dirac_velocity inverts",
+        },
+    ),
+    Row(
+        "heat-euler",
+        lambda x: fractional.heat_semigroup(x.f, 0.3),
+        lambda x: fractional.heat_euler(x.f, 0.3, 8),
+        path=(fractional.heat_semigroup, spectral.multiply_field),
+        never=(fractional.heat_semigroup, spectral, np.fft),
+        shared={
+            lattice.discrete_laplacian: "the position-space stencil; "
+            "criterion 2 checks (D - m gamma)^2 against it",
+            fractional._heat_time: "the check that the heat time is finite and nonnegative",
+        },
     ),
 ]
 ROW = {row.id: row for row in ROWS}
@@ -244,10 +261,15 @@ def _subordination_through_the_power(f, p):
     return spectral.multiply_field(f, fractional._power_multiplier(f.grid, p.m, -p.alpha))
 
 
+def _euler_through_the_semigroup(f, s, steps):
+    return fractional.heat_semigroup(f, s)
+
+
 PLANTED = [
     ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
     ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),
+    ("heat-euler", fractional, "heat_euler", _euler_through_the_semigroup, "fractional.heat_semigroup"),
 ]
 
 

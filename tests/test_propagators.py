@@ -32,6 +32,7 @@ from latticewave import (
     solve_kg,
     solve_kg_by_kernels,
     wave_kernels,
+    wave_symbols,
 )
 from latticewave.lattice import norm
 
@@ -57,6 +58,37 @@ def test_central_difference_rejects_non_finite_tau(tau):
     # an infinite tau used to escape as an OverflowError from Fraction
     with pytest.raises(ValueError, match="tau"):
         TimeModel.central_difference(tau)
+
+
+NON_FINITE = pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("time", [TimeModel.continuous(), TimeModel.central_difference(0.5)],
+                         ids=["continuous", "central"])
+def test_non_finite_time_is_rejected(time, t, rng):
+    grid = _grid1(N=8)
+    f = random_field(grid, rng)
+    data = CauchyData(f, f)
+    for call in (
+        lambda: time.validate_time(t),
+        lambda: wave_symbols(grid, time, 1.0, t),
+        lambda: solve_kg(data, time, 1.0, t),
+        lambda: solve_dirac(f, time, 0.25, 1.0, t),
+        lambda: Propagator(data, 1.0).at(time, t),
+        lambda: Propagator.dirac(f, 0.25, 1.0).at(time, t),
+    ):
+        with pytest.raises(ValueError, match="time t must be finite"):
+            call()
+
+
+@NON_FINITE
+def test_chebyshev_solve_rejects_non_finite_tau_and_time(t, rng):
+    data = CauchyData.rest(random_field(_grid1(N=8), rng))
+    with pytest.raises(ValueError, match="time t must be finite"):
+        chebyshev_solve(data, 0.5, 1.0, t)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        chebyshev_solve(data, t, 1.0, 0.5)
 
 
 def test_validate_time_half_step_grid():

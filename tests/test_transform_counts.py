@@ -1,20 +1,22 @@
 """Transform counts of whole command runs, and when the first transform happens.
 
 An ``evolve`` run builds one propagation plan.  The plan transforms each
-Cauchy field once (the Dirac velocity adds one idft -> dft round trip) and
-evaluates each distinct time slice with one ``idft``; each
-``dirac_residual`` adds a transform pair of its own.  No transform may come
-before the first call through one of ``cli``'s solver names, because a
-benchmark counts everything before that call as set-up.  ``kernel`` makes one
-inverse transform per time, of the one multiplier it stores.
+Cauchy field once (a Dirac plan takes its velocity's transform from F Phi0,
+so it transforms Phi0 alone) and evaluates each distinct time slice with one
+``idft``; each ``dirac_residual`` adds a transform pair of its own.  No
+transform may come before the first call through one of ``cli``'s solver
+names, because a benchmark counts everything before that call as set-up.
+``kernel`` makes one inverse transform per time, of the one multiplier it
+stores.
 """
 
 import filecmp
 
+import numpy as np
 import pytest
 
 import latticewave.cli as cli
-from latticewave import FracParams, GridSpec, TimeModel, fractional_kernels, wave_kernels
+from latticewave import FracParams, GridSpec, TimeModel, fractional_kernels, random_field, solve_dirac, wave_kernels
 from latticewave.cli import main, store_field
 
 SOLVERS = ("solve_kg", "solve_dirac", "solve_kg_fractional", "heat_semigroup")
@@ -68,12 +70,18 @@ def test_evolve_transforms_the_data_once_and_each_slice_once(name, head, dim, ti
         assert transforms == {"dft": 2, "idft": slices}  # F Phi0 and F Phi1, then one idft per slice
         assert not residuals
     else:
-        # F Phi0 and the velocity's round trip, one idft per slice, one pair per residual
-        assert transforms == {"dft": 2 + len(times), "idft": 1 + slices + len(times)}
+        # F Phi0 alone, one idft per slice, one pair per residual
+        assert transforms == {"dft": 1 + len(times), "idft": slices + len(times)}
         assert len(residuals) == len(times)
         # between two residuals the run solves new slices (idft only), so each adds exactly one dft
         dfts = [counts["dft"] for _, counts in residuals] + [transforms["dft"]]
         assert all(b - a == 1 for a, b in zip(dfts, dfts[1:]))
+
+
+def test_one_shot_dirac_solve_transforms_phi0_once(transforms):
+    phi0 = random_field(GridSpec((4, 4), 1.0), np.random.default_rng(5))
+    solve_dirac(phi0, TimeModel.central_difference(TAU), 0.25, 0.5, 2 * TAU)
+    assert transforms == {"dft": 1, "idft": 1}
 
 
 @pytest.mark.parametrize("equation", ["klein_gordon", "dirac", "heat", "fractional_kg"])
