@@ -8,36 +8,28 @@ Subcommands
 
 Configuration is a flat ``key=value`` text file; ``#`` starts a comment line
 and every value is validated with a named error before any computation runs.
-Exit codes: 0 success, 2 configuration error, 3 numerical guard (CFL
-violation, special-function domain guard, or ``--tolerance`` exceeded).
-
-Field CSV layout: leading ``#`` lines pin the grid (shape, spacing, alpha,
-mass), then a header ``x1,...,xn,blade,re,im`` and one row per site and
-nonzero blade coefficient.  Sites are integer lattice indices (multiply by
-the spacing for physical coordinates); blades are middle-dot joined 1-based
-generator indices ("" for the scalar part, "1", "1·3", ...); floats are
-written with ``repr`` so ``load_field(store_field(f))`` is bit-exact for
-finite values; rows are ordered lexicographically by site, then blade.
+Exit codes: 0 success, 2 configuration error (also an ``--out`` that cannot
+be a directory, or a failed output write), 3 numerical guard (CFL violation,
+special-function domain guard, or ``--tolerance`` exceeded).  The field CSV
+format and the row writer of every output CSV live in ``fieldio``, whose
+``store_field``, ``load_field`` and ``ConfigError`` are re-exported here.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
-import io
 import itertools
 import json
 import math
 import os
-import re
 import sys
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import blade_indices, blade_mask, mul_columns
+from .clifford import mul_columns
+from .fieldio import ConfigError, cells, load_field, open_csv, store_field, write_rows
 from .fractional import (
     FracParams,
     fractional_symbols,
@@ -68,18 +60,7 @@ from .fractional import fractional_kernels  # noqa: F401
 from .propagators import wave_kernels  # noqa: F401
 from .spectral import multiplier_d2, multiplier_z  # noqa: F401
 
-__all__ = [
-    "ConfigError",
-    "parse_config",
-    "load_config",
-    "store_field",
-    "load_field",
-    "main",
-]
-
-
-class ConfigError(Exception):
-    """Invalid or incomplete run configuration (exit code 2)."""
+__all__ = ["ConfigError", "parse_config", "load_config", "store_field", "load_field", "main"]
 
 
 # -- config schema --------------------------------------------------------------
@@ -305,193 +286,6 @@ def build_field(cfg: dict[str, object], grid: GridSpec, role: str) -> LatticeFie
     return f
 
 
-# -- field CSV ------------------------------------------------------------------
-
-
-def _blade_label(mask: int) -> str:
-    return "·".join(str(j) for j in blade_indices(mask))
-
-
-def _write_rows(fh, grid: GridSpec, columns: Sequence[str], *fields: LatticeField) -> None:
-    """Header plus one row per site and blade where any of ``fields`` is nonzero.
-
-    Each field contributes a ``repr`` real and imaginary column.  Blades run
-    in canonical order over the union of the fields' supports.  Values are
-    gathered one slab of the leading axis at a time and rows are streamed
-    to ``fh``, so no row strings accumulate in memory.
-    """
-    fh.write(",".join([f"x{a + 1}" for a in range(grid.n)] + list(columns)) + "\n")
-    support, cols = align(*fields)
-    order = sorted(range(len(support)), key=lambda c: blade_indices(support[c]))
-    labels = [_blade_label(support[c]) + "," for c in order]
-    tails = ["".join(f"{j}," for j in site) for site in np.ndindex(grid.shape[1:])]
-    for i in range(grid.shape[0]):
-        slabs = [f[i].reshape(len(tails), -1)[:, order] for f in cols]
-        hit = slabs[0] != 0
-        for slab in slabs[1:]:
-            hit |= slab != 0
-        sites, blades = np.nonzero(hit)
-        parts = []
-        for slab in slabs:
-            v = slab[sites, blades]
-            parts += [map(repr, v.real.tolist()), map(repr, v.imag.tolist())]
-        head = f"{i},"
-        fh.writelines(
-            f"{head}{tails[site]}{labels[b]}{vals}\n"
-            for site, b, vals in zip(sites.tolist(), blades.tolist(), map(",".join, zip(*parts)))
-        )
-
-
-def store_field(f: LatticeField, path: str, *, s: float | None = None, spectral: LatticeField | None = None) -> None:
-    """Write a field as CSV; exactly-zero coefficients are omitted.
-
-    A heat kernel export passes its time ``s``, written as a ``# s=`` line
-    after the grid, and its ``spectral`` twin: ``f`` is then the Bessel
-    route, and each row holds the columns of both routes.
-    """
-    fields, columns = (f,), ["blade", "re", "im"]
-    if spectral is not None:
-        fields, columns = (f, spectral), ["blade", "re_bessel", "im_bessel", "re_spectral", "im_spectral"]
-    grid = f.grid
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# shape={','.join(str(N) for N in grid.shape)}\n# spacing={grid.h!r}\n")
-        fh.write(f"# alpha={grid.alpha!r}\n# mass={grid.mass!r}\n")
-        if s is not None:
-            fh.write(f"# s={float(s)!r}\n")
-        _write_rows(fh, grid, columns, *fields)
-
-
-_CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
-_BLANK_LINE = re.compile(r"\n[ \t\f\v\r]+(?=\n|$)")
-
-
-def _read_grid(fh, path: str) -> GridSpec:
-    """Grid from the ``#`` lines before the header; reads through the header."""
-    meta: dict[str, str] = {}
-    header = None
-    for line in fh:
-        if line.startswith("#"):
-            inner = line[1:].strip()
-            if "=" in inner:
-                k, _, v = inner.partition("=")
-                meta[k.strip()] = v.strip()
-        elif line.strip():
-            header = line.rstrip("\r\n").split(",")
-            break
-    for key in ("shape", "spacing", "alpha", "mass"):
-        if key not in meta:
-            raise ConfigError(f"{path}: missing '# {key}=' comment")
-    try:
-        shape = tuple(int(tok) for tok in meta["shape"].split(","))
-        grid = GridSpec(shape, float(meta["spacing"]), float(meta["alpha"]), float(meta["mass"]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad grid metadata: {exc}") from None
-    if header != [f"x{a + 1}" for a in range(grid.n)] + ["blade", "re", "im"]:
-        raise ConfigError(f"{path}: unexpected header {header!r}")
-    return grid
-
-
-def _data_lines(text: str) -> list[str]:
-    """The lines of ``text`` that np.loadtxt reads as rows, in order."""
-    lines = (line.rstrip("\r") for line in text.split("\n"))
-    return [line for line in lines if line and not line.startswith("#")]
-
-
-def _inline_comment(text: str) -> str | None:
-    """First line of ``text`` (which starts with a newline) holding a ``#`` after column 0."""
-    at = text.find("#")
-    while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        end = text.find("\n", at)
-        if at != start:
-            return text[start : end if end >= 0 else None].rstrip("\r")
-        if end < 0:
-            return None
-        at = text.find("#", end)
-    return None
-
-
-def _first_bad_line(lines: list[str], dtype: np.dtype) -> str:
-    """The first line that np.loadtxt refuses, found by bisection; ``lines`` holds one."""
-    while len(lines) > 1:
-        half = len(lines) // 2
-        try:
-            np.loadtxt(lines[:half], dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            lines = lines[half:]
-        except ValueError:
-            lines = lines[:half]
-    return lines[0]
-
-
-def _parse_rows(path: str, text: str, dtype: np.dtype) -> np.ndarray:
-    """Rows of ``text`` (whole lines after a leading newline, no blank ones) as a record array."""
-    bad = _inline_comment(text)
-    if bad is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # text of comments only holds no rows
-            try:
-                return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments="#", ndmin=1)
-            except ValueError:
-                bad = _first_bad_line(_data_lines(text), dtype)
-    raise ConfigError(f"{path}: malformed row {bad.split(',')!r}")
-
-
-def _parse_blade(path: str, grid: GridSpec, label: str) -> int:
-    try:
-        return blade_mask(grid.sig, [int(tok) for tok in label.split("·")]) if label else 0
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad blade label {label!r}: {exc}") from None
-
-
-def load_field(path: str) -> LatticeField:
-    """Inverse of store_field (bit-exact for finite values).
-
-    Rows are parsed ``_CHUNK_CHARS`` of text at a time by ``np.loadtxt``, then
-    range-checked, mapped to blade masks through a sorted table of the grid's
-    canonical labels and scattered into the columns of the blades with rows.
-    A label outside the table (another spelling or an invalid one) is parsed
-    from its line as written; a repeated (site, blade) row keeps its last value.
-    """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            grid = _read_grid(fh, path)
-            canonical = [_blade_label(mask) for mask in range(grid.blades)]
-            width = max(map(len, canonical)) + 1  # spare character: a truncated long label matches none
-            dtype = np.dtype(
-                [(f"x{a + 1}", np.int64) for a in range(grid.n)]
-                + [("blade", f"U{width}"), ("re", np.float64), ("im", np.float64)]
-            )
-            masks_by_label = np.argsort(canonical)
-            labels = np.array(canonical, dtype=dtype["blade"])[masks_by_label]
-            f = LatticeField.zeros(grid)
-            for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""):
-                # a leading newline puts every line, the first too, after a "\n"
-                text = _BLANK_LINE.sub("\n", "\n" + chunk + fh.readline())
-                rows = _parse_rows(path, text, dtype)
-                sites = tuple(rows[f"x{a + 1}"] for a in range(grid.n))
-                for axis, (col, N) in enumerate(zip(sites, grid.shape)):
-                    outside = (col < 0) | (col >= N)
-                    if outside.any():
-                        j = col[outside.argmax()]
-                        raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
-                at = np.minimum(np.searchsorted(labels, rows["blade"]), grid.blades - 1)
-                masks = masks_by_label[at]
-                unmatched = np.flatnonzero(labels[at] != rows["blade"])
-                if unmatched.size:
-                    lines = _data_lines(text)
-                    for i in unmatched:
-                        masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
-                f = f._widened(masks)  # rows of a new blade widen the support
-                at = np.searchsorted(f.support, masks)
-                f.columns.real[sites + (at,)] = rows["re"]
-                f.columns.imag[sites + (at,)] = rows["im"]
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return f
-
-
 def _write_json(path: str, payload: dict) -> None:
     # serialise first: a non-finite value must not leave a half-written file
     try:
@@ -534,11 +328,13 @@ class _Run:
 
     Construction loads the config and checks the command's required keys; the
     command then makes the rest of its checks.  Entering the run creates
-    ``--out``, so a config error never leaves a directory behind.  ``path``
-    names an output file and records it; ``finish`` applies ``--tolerance``
-    and writes ``metadata.json`` with the shared keys.  A run that ends
-    without ``metadata.json`` (a guard tripped, or a residual came out
-    non-finite) removes every file it wrote.
+    ``--out``, so a config error never leaves a directory behind, and an
+    ``--out`` that cannot be a directory is one.  ``path`` names an output
+    file and records it; ``finish`` applies ``--tolerance`` and writes
+    ``metadata.json`` with the shared keys.  A run that ends without
+    ``metadata.json`` (a guard tripped, a residual came out non-finite, or
+    a write failed) removes the files at the output names it recorded; a
+    directory at such a name, which made its write fail, stays.
     """
 
     def __init__(self, args, command: str, *keys: str):
@@ -585,7 +381,10 @@ class _Run:
         return time
 
     def __enter__(self) -> "_Run":
-        os.makedirs(self.args.out, exist_ok=True)
+        try:
+            os.makedirs(self.args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {self.args.out}: {exc.strerror or exc}") from None
         return self
 
     def path(self, name: str) -> str:
@@ -604,9 +403,9 @@ class _Run:
 
     def __exit__(self, *exc) -> None:
         if not self.kept:
-            for name in self.files:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(os.path.join(self.args.out, name))
+            for path in (os.path.join(self.args.out, name) for name in self.files):
+                if os.path.isfile(path):
+                    os.remove(path)
 
 
 def cmd_evolve(args) -> int:
@@ -633,7 +432,8 @@ def cmd_evolve(args) -> int:
 
     # Per equation: the field at time t, and the checks of the slice psi at t.
     # The lambdas look the solvers up by name each time they run.  A plan
-    # transforms the Cauchy data inside its first solve, and once per run.
+    # transforms the Cauchy data inside its first solve, and once per run:
+    # the continuous-time checks read the same plan.
     solvers = {
         "klein_gordon": lambda t: solve_kg(plan, time, m, t, allow_unstable=unstable),
         "dirac": lambda t: solve_dirac(plan, time, grid.alpha, m, t, allow_unstable=unstable),
@@ -672,13 +472,13 @@ def cmd_evolve(args) -> int:
 
     def dirac_checks(t: float, psi: LatticeField) -> dict[str, float]:
         if not tau:
-            return richardson("dirac_residual", continuous_dirac_residual(phi0, grid.alpha, m, t))
+            return richardson("dirac_residual", continuous_dirac_residual(plan, grid.alpha, m, t))
         half = dirac_residual(at(t - tau / 2), psi, at(t + tau / 2), grid.alpha, m, tau)
         return {"dirac_residual": half, **leapfrog(t, psi)}
 
     checks = {
         "klein_gordon": lambda t, psi: (
-            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(data, m, t))
+            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(plan, m, t))
         ),
         "dirac": dirac_checks,
         "heat": lambda t, psi: {"semigroup_gap": relative_gap(heat_semigroup(at(t / 2.0), t / 2.0), psi)},
@@ -745,18 +545,16 @@ def cmd_spectrum(args) -> int:
 
     summary: dict[str, dict[str, float]] = {}
     worst_err = 0.0
+    meta = {"shape": ",".join(map(str, grid.shape)), "spacing": repr(h), "alphas": ",".join(map(repr, alphas))}
+    values = ["d2", "z_norm", "velocity_norm", "mass_norm", "z2_err"]
+    columns = ["zone", "alpha"] + [f"xi{a + 1}" for a in range(n)] + values
     with run:
-        with open(run.path("spectrum.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# shape={','.join(str(N) for N in grid.shape)}\n")
-            fh.write(f"# spacing={h!r}\n")
-            fh.write(f"# alphas={','.join(map(repr, alphas))}\n")
-            values = ["d2", "z_norm", "velocity_norm", "mass_norm", "z2_err"]
-            fh.write(",".join(["zone", "alpha"] + [f"xi{a + 1}" for a in range(n)] + values) + "\n")
+        with open_csv(run.path("spectrum.csv"), "spectrum file", meta, columns) as fh:
             for zone_name, zone_grid in zones:
                 # rows run over the sorted zone in C order, one slab of the first axis at a time
                 axes = [np.sort(frequencies(N, zone_grid.h)) for N in zone_grid.shape]
                 rest = list(itertools.product(*(ax.tolist() for ax in axes[1:])))
-                tails = ["".join(f"{x!r}," for x in xi) for xi in rest]
+                tails = [cells(xi) for xi in rest]
                 rest_away = np.array([any(xi) for xi in rest])  # whether a point of a slab has any nonzero xi_2..n
                 for alpha in alphas:
                     min_d2, min_z, max_err = math.inf, math.inf, 0.0
@@ -769,9 +567,7 @@ def cmd_spectrum(args) -> int:
                         sq = np.abs(z) ** 2  # columns e_1..e_n, then e_{n+1}..e_{2n}
                         vel, mas = np.sqrt(sq[:, :n].sum(axis=1)), np.sqrt(sq[:, n:].sum(axis=1))
                         z_norm, err = np.sqrt(sq.sum(axis=1)), np.sqrt((np.abs(zz) ** 2).sum(axis=1))
-                        head = f"{zone_name},{alpha!r},{xi1!r},"
-                        rows = zip(*(map(repr, v.tolist()) for v in (d2, z_norm, vel, mas, err)))
-                        fh.writelines(f"{head}{tail}{','.join(row)}\n" for tail, row in zip(tails, rows))
+                        write_rows(fh, (zone_name, alpha, xi1), tails, [], (d2, z_norm, vel, mas, err))
                         away = rest_away | (xi1 != 0.0)  # every point but the origin; as in min(), a NaN never wins
                         min_d2 = float(np.fmin.reduce(d2[away], initial=min_d2))
                         min_z = float(np.fmin.reduce(z_norm[away], initial=min_z))

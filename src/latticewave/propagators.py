@@ -287,16 +287,16 @@ def _richardson(plan: Propagator, t: float, delta: float | None, rhs_of, quotien
     return extrap, float(order)
 
 
-def continuous_kg_residual(data: CauchyData, m: float, t: float, delta: float | None = None):
+def continuous_kg_residual(data: CauchyData | Propagator, m: float, t: float, delta: float | None = None):
     """Richardson check of the continuous-time equation at time t.
 
     Returns (extrapolated residual, estimated order): central second
     differences in t at steps delta and delta/2 are compared against
     (Laplacian - m^2) Psi(t); the plain residuals shrink like delta^2, so
     the order estimate should sit near 2 and the extrapolation well below
-    either.
+    either.  ``data`` may be a ``Propagator`` of the same mass, as in solve_kg.
     """
-    return _richardson(Propagator(data, m), t, delta,
+    return _richardson(data._checked(m) if isinstance(data, Propagator) else Propagator(data, m), t, delta,
                        lambda mid: discrete_laplacian(mid) - (float(m) ** 2) * mid,
                        lambda plus, minus, mid, d: (plus - 2.0 * mid + minus) * (1.0 / d**2))
 
@@ -353,14 +353,16 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
     return norm(quot - rhs) / scale
 
 
-def continuous_dirac_residual(phi0: LatticeField, alpha: float, m: float, t: float,
+def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: float, t: float,
                               delta: float | None = None):
     """Richardson check of d/dt Psi = i(D - m gamma) Psi at time t.
 
     Same contract as continuous_kg_residual: returns (extrapolated residual,
     estimated order), the plain central-quotient residuals being O(delta^2).
+    ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha and mass.
     """
-    return _richardson(Propagator.dirac(phi0, alpha, m), t, delta,
+    plan = phi0._checked(m, alpha) if isinstance(phi0, Propagator) else Propagator.dirac(phi0, alpha, m)
+    return _richardson(plan, t, delta,
                        lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 

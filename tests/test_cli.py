@@ -336,6 +336,40 @@ def test_removed_options_are_unknown(tmp_path, capsys, command, option):
     assert not out.exists()
 
 
+COMMANDS = {"evolve": ["evolve"], "kernel": ["kernel", "--kind", "K0"], "spectrum": ["spectrum"]}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, command, below):
+    cfg = _config(tmp_path, **KG)
+    (tmp_path / "taken").write_text("not a directory\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "taken" / "sub" if below else tmp_path / "taken"
+    assert main(COMMANDS[command] + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: --out: cannot create directory {out}: "), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "fixture,blocked,what",
+    [("dirac.cfg", "field_001.csv", "field file"), ("spectrum.cfg", "spectrum.csv", "spectrum file")],
+    ids=["evolve", "spectrum"],
+)
+def test_failed_write_is_a_config_error_and_cleanup_keeps_the_directory(tmp_path, capsys, fixture, blocked, what):
+    # the dirac run writes field_000.csv first; the failed run must remove it and keep the directory
+    import os
+
+    cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", fixture)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main(["evolve" if what == "field file" else "spectrum", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write {what} {out / blocked}: "), err
+    assert [p.name for p in out.iterdir()] == [blocked] and (out / blocked).is_dir()
+
+
 def test_field_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"# shape=8\n# spacing=1.0\n# alpha=0.0\n# mass=1.0\nx1,blade,re,im\n0,\xff,1.0,0.0\n")

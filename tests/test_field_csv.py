@@ -1,6 +1,6 @@
 """The column-wise field CSV reader, pinned to the row-by-row reader it replaced.
 
-``_ref_load_field`` is the previous ``cli.load_field``, kept verbatim.  On
+``_ref_load_field`` is the row-by-row ``load_field`` that ``cli`` once held, kept verbatim.  On
 every valid file the tests demand the same grid and identical bytes
 (``tobytes()``, so the sign of a zero counts); on invalid files they demand
 a ``ConfigError`` with the same message.  Most cases also run with a tiny
@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-import latticewave.cli as cli
+import latticewave.fieldio as fieldio
 from latticewave import GridSpec, LatticeField, random_field
 from latticewave.cli import ConfigError, load_field, store_field
 from latticewave.clifford import blade_mask
@@ -75,7 +75,7 @@ def _ref_load_field(path: str) -> LatticeField:
 def chunk(request, monkeypatch):
     """Reader chunk size: the shipped one, or a few rows per chunk."""
     if request.param == "tiny":
-        monkeypatch.setattr(cli, "_CHUNK_CHARS", 97)
+        monkeypatch.setattr(fieldio, "_CHUNK_CHARS", 97)
     return request.param
 
 
@@ -226,6 +226,8 @@ GOOD = "0,,1.0,0.0\n1,1,2.0,0.0\n"
         ("1,x,1.0,0.0", r"bad blade label 'x'"),
         ("1,1·2·1·2·1·2,1.0,0.0", r"bad blade label '1·2·1·2·1·2': repeated generator index 1"),
         ("1,1·1,1.0,0.0", r"bad blade label '1·1': repeated generator index 1"),
+        ("1,1#,1.0,0.0", r"bad blade label '1#': invalid literal for int\(\) with base 10: '1#'"),
+        ("1,#,1.0,0.0", r"bad blade label '#': invalid literal for int\(\) with base 10: '#'"),
     ],
 )
 @pytest.mark.parametrize("where", ["first", "after"])
@@ -240,6 +242,17 @@ def test_first_of_several_bad_rows_is_named(tmp_path, chunk):
     rows[13], rows[29] = "1,,1.0,0.0x", "2,,one,0.0"
     message = _assert_same_error(_write(tmp_path, "bad.csv", HEAD + "\n".join(rows) + "\n"))
     assert "'0.0x'" in message
+
+
+def test_tiny_chunk_splits_the_file_into_several_parses(tmp_path, monkeypatch, chunk):
+    # guards the fixture: the tiny chunk must reach the reader in its own module
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(1) or loadtxt(*args, **kwargs))
+    rows = [f"{i % 4},,1.0,0.0" for i in range(40)]
+    got = _assert_same(_write(tmp_path, "f.csv", HEAD + "\n".join(rows) + "\n"))
+    assert np.count_nonzero(got.values) == 4
+    assert len(parses) == 1 if chunk == "default" else len(parses) >= 4
 
 
 def test_bad_site_in_a_later_axis(tmp_path, chunk):

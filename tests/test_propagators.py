@@ -407,6 +407,23 @@ def test_a_plan_answers_only_for_its_own_flow(rng):
         Propagator.dirac(data.phi0, 0.7, 1.0)
 
 
+def test_continuous_checks_read_a_plan_of_their_own_flow(rng):
+    grid = _grid1()
+    data = CauchyData(random_field(grid, rng), random_field(grid, rng))
+    kg, dirac = Propagator(data, 1.0), Propagator.dirac(data.phi0, 0.25, 1.0)
+    assert continuous_kg_residual(kg, 1.0, 0.6) == continuous_kg_residual(data, 1.0, 0.6)
+    assert continuous_dirac_residual(dirac, 0.25, 1.0, 0.5) == continuous_dirac_residual(data.phi0, 0.25, 1.0, 0.5)
+    for call in (
+        lambda: continuous_kg_residual(kg, 2.0, 0.6),
+        lambda: continuous_kg_residual(dirac, 1.0, 0.6),
+        lambda: continuous_dirac_residual(kg, 0.25, 1.0, 0.5),
+        lambda: continuous_dirac_residual(dirac, 0.5, 1.0, 0.5),
+        lambda: continuous_dirac_residual(dirac, 0.25, 2.0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="plan built for"):
+            call()
+
+
 def test_a_plan_guards_its_slices_like_the_solver(rng):
     grid = _grid1(16, 0.5)
     data = CauchyData(random_field(grid, rng), random_field(grid, rng))
