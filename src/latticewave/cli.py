@@ -472,13 +472,13 @@ def cmd_evolve(args) -> int:
 
     def dirac_checks(t: float, psi: LatticeField) -> dict[str, float]:
         if not tau:
-            return richardson("dirac_residual", continuous_dirac_residual(plan, grid.alpha, m, t))
+            return richardson("dirac_residual", continuous_dirac_residual(plan, grid.alpha, m, t, psi=psi))
         half = dirac_residual(at(t - tau / 2), psi, at(t + tau / 2), grid.alpha, m, tau)
         return {"dirac_residual": half, **leapfrog(t, psi)}
 
     checks = {
         "klein_gordon": lambda t, psi: (
-            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(plan, m, t))
+            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(plan, m, t, psi=psi))
         ),
         "dirac": dirac_checks,
         "heat": lambda t, psi: {"semigroup_gap": relative_gap(heat_semigroup(at(t / 2.0), t / 2.0), psi)},

@@ -98,8 +98,9 @@ def store_field(f: LatticeField, path: str, *, s: float | None = None, spectral:
 
 
 _CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
-# a comment line, or one of whitespace only; the lookahead turns a data line away at its first character
-_SKIPPED_LINE = re.compile(r"\n(?=[#\t\v\f\r ])(?:#[^\n]*|[\t\v\f\r ]+(?=\n|$))")
+# a comment line, or one of whitespace only (str.isspace, as str.strip sees it); the lookahead turns a
+# data line away at its first character
+_SKIPPED_LINE = re.compile(r"\n(?=[#\s])(?:#[^\n]*|[^\S\n]+(?=\n|$))")
 
 
 def _read_grid(fh, path: str) -> GridSpec:

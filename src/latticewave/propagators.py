@@ -6,14 +6,16 @@ by the first-order symbol), and transformed back.
 
     Psi(t) = idft[ c(lambda, t) F Phi0 + s(lambda, t) F Phi1 ]
 
-with (c, s) the wave-multiplier pair of the chosen time model.  Only c and s
-depend on t.  A ``Propagator`` is the plan of one run: it transforms the
-Cauchy data once, on its first slice, keeps F Phi0, F Phi1 and lambda, and
-then evaluates every slice with one multiplier pair, one combine and one
-inverse transform; a Dirac plan takes F Phi1 = i(z - m gamma) F Phi0 from
-F Phi0.  ``solve_kg`` and ``solve_dirac`` take either the data, for a
-one-shot solve that combines in its own transforms, or a plan.  Both routes
-run the same ``_combine``, so a slice has the same bits either way.
+with (c, s) the wave-multiplier pair of the chosen time model, a
+``umbral.DeltaOperator`` (exported here as ``TimeModel``) that also owns
+its time lattice and CFL bound.  Only c and s depend on t.  A
+``Propagator`` is the plan of one run: it transforms the Cauchy data once,
+on its first slice, keeps F Phi0, F Phi1 and lambda, and then evaluates
+every slice with one multiplier pair, one combine and one inverse
+transform; a Dirac plan takes F Phi1 = i(z - m gamma) F Phi0 from F Phi0.
+``solve_kg`` and ``solve_dirac`` take either the data, for a one-shot
+solve that combines in its own transforms, or a plan.  Both routes run the
+same ``_combine``, so a slice has the same bits either way.
 
 For the central-difference model the result satisfies the three-level
 leapfrog recurrence exactly (per mode), which the residual helpers check;
@@ -30,17 +32,18 @@ evolution backwards, which the recurrences support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import GridSpec, LatticeField, align, discrete_laplacian, norm
 from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
-from .umbral import (
-    CflViolationError,
-    DeltaOperator,
-    wave_multiplier_arrays,
-)
+from .umbral import CflViolationError, DeltaOperator
+
+# The time axis of every solver is a delta operator: TimeModel.continuous() or
+# TimeModel.central_difference(tau), which owns its time lattice, its CFL bound
+# and its multipliers.
+TimeModel = DeltaOperator
 
 __all__ = [
     "TimeModel",
@@ -63,56 +66,6 @@ __all__ = [
     "chebyshev_solve",
     "leapfrog_march",
 ]
-
-
-@dataclass(frozen=True)
-class TimeModel:
-    """Continuous or central-difference time evolution.
-
-    kind "continuous" admits any real time; kind "central_difference"
-    admits integer multiples of tau/2 (exact up to 1e-9 relative).
-    """
-
-    kind: str
-    tau: float | None = None
-    delta: DeltaOperator = field(repr=False, default=None)
-
-    @classmethod
-    def continuous(cls) -> "TimeModel":
-        return cls(kind="continuous", delta=DeltaOperator.derivative())
-
-    @classmethod
-    def central_difference(cls, tau: float) -> "TimeModel":
-        if not 0 < tau < np.inf:
-            raise ValueError(f"tau must be positive and finite, got {tau}")
-        return cls(kind="central_difference", tau=float(tau), delta=DeltaOperator.central_difference(tau))
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("continuous", "central_difference"):
-            raise ValueError(f"unknown time model kind {self.kind!r}")
-        if self.delta is None:
-            raise ValueError("construct via TimeModel.continuous() or TimeModel.central_difference(tau)")
-
-    def validate_time(self, t: float) -> float:
-        t = float(t)
-        if not np.isfinite(t):
-            raise ValueError(f"time t must be finite, got {t}")
-        if self.kind == "central_difference":
-            k = 2.0 * t / self.tau
-            if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-                raise ValueError(
-                    f"time {t} is not an integer multiple of tau/2 = {self.tau / 2}"
-                )
-        return t
-
-    def cfl_bound(self) -> float:
-        """Largest admissible frequency, 2/tau (infinite for continuous time)."""
-        if self.kind == "continuous":
-            return np.inf
-        return 2.0 / self.tau
-
-    def multipliers(self, lam: np.ndarray, t: float, allow_unstable: bool = False):
-        return wave_multiplier_arrays(self.delta, lam, self.validate_time(t), allow_unstable=allow_unstable)
 
 
 @dataclass(frozen=True)
@@ -262,17 +215,17 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     return norm(quot - rhs) / scale
 
 
-def _richardson(plan: Propagator, t: float, delta: float | None, rhs_of, quotient):
+def _richardson(plan: Propagator, t: float, delta: float | None, psi: LatticeField | None, rhs_of, quotient):
     """(extrapolated residual, estimated order) of a central quotient in t.
 
     ``quotient(plus, minus, mid, d)`` of the plan's continuous-time slices
     at t + d, t - d and t is compared against ``rhs_of(mid)`` at steps
-    delta and delta/2.
+    delta and delta/2.  ``psi`` is the slice at t if the caller holds it.
     """
     time = TimeModel.continuous()
     if delta is None:
         delta = 1e-3 * max(1.0, abs(t))
-    mid = plan.at(time, t)
+    mid = plan.at(time, t) if psi is None else psi
     rhs = rhs_of(mid)
     scale = max(norm(rhs), norm(mid), 1e-300)
 
@@ -287,16 +240,18 @@ def _richardson(plan: Propagator, t: float, delta: float | None, rhs_of, quotien
     return extrap, float(order)
 
 
-def continuous_kg_residual(data: CauchyData | Propagator, m: float, t: float, delta: float | None = None):
+def continuous_kg_residual(data: CauchyData | Propagator, m: float, t: float, delta: float | None = None,
+                           psi: LatticeField | None = None):
     """Richardson check of the continuous-time equation at time t.
 
     Returns (extrapolated residual, estimated order): central second
     differences in t at steps delta and delta/2 are compared against
     (Laplacian - m^2) Psi(t); the plain residuals shrink like delta^2, so
     the order estimate should sit near 2 and the extrapolation well below
-    either.  ``data`` may be a ``Propagator`` of the same mass, as in solve_kg.
+    either.  ``data`` may be a ``Propagator`` of the same mass, as in solve_kg,
+    and ``psi`` the continuous-time slice Psi(t) the caller already holds.
     """
-    return _richardson(data._checked(m) if isinstance(data, Propagator) else Propagator(data, m), t, delta,
+    return _richardson(data._checked(m) if isinstance(data, Propagator) else Propagator(data, m), t, delta, psi,
                        lambda mid: discrete_laplacian(mid) - (float(m) ** 2) * mid,
                        lambda plus, minus, mid, d: (plus - 2.0 * mid + minus) * (1.0 / d**2))
 
@@ -354,15 +309,16 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
 
 
 def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: float, t: float,
-                              delta: float | None = None):
+                              delta: float | None = None, psi: LatticeField | None = None):
     """Richardson check of d/dt Psi = i(D - m gamma) Psi at time t.
 
     Same contract as continuous_kg_residual: returns (extrapolated residual,
     estimated order), the plain central-quotient residuals being O(delta^2).
-    ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha and mass.
+    ``phi0`` may be a ``Propagator.dirac`` plan of the same alpha and mass,
+    and ``psi`` the continuous-time slice Psi(t) the caller already holds.
     """
     plan = phi0._checked(m, alpha) if isinstance(phi0, Propagator) else Propagator.dirac(phi0, alpha, m)
-    return _richardson(plan, t, delta,
+    return _richardson(plan, t, delta, psi,
                        lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 

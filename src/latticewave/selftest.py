@@ -39,6 +39,7 @@ from .fractional import (
 from .lattice import (
     GridSpec,
     LatticeField,
+    dirac_kahler,
     discrete_laplacian,
     inner_product,
     random_field,
@@ -170,6 +171,10 @@ def check_multiplier_square(b: _Bounds, rng: np.random.Generator) -> None:
             z2 = mul_arrays(grid.n, z, z)
             z2[..., 0] -= d2
             b.at_most("max |z^2 - d^2|", float(np.max(np.abs(z2))), 1e-12)
+    # a sign flip in one column of z still squares to d^2; at alpha = 0 z is the position-space stencil's symbol
+    for shape in ((8,), (6, 4), (4, 4, 2)):
+        f = random_field(GridSpec(shape, 0.9), rng)
+        b.at_most("alpha = 0 symbol vs dirac_kahler", relative_gap(dirac_h_alpha(f, 0.0), dirac_kahler(f)), 1e-12)
 
 
 @_check

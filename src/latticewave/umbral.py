@@ -23,13 +23,22 @@ solvers.  For the central-difference operator they are real only under the
 stability bound tau*lambda/2 <= 1; beyond it evaluation continues
 analytically (exponentially growing, complex on half-integer steps) and
 must be requested explicitly.
+
+``DeltaOperator`` is the one time-axis class: the solvers take it as their
+time model (``propagators.TimeModel``), and it owns its time lattice, its
+CFL bound and its multipliers.  The built-in operators evaluate closed
+forms and build their exact series only when the polynomial tools ask, so
+a solver run never enters ``fractions``.  A custom series is evaluated over
+a whole array of frequencies by Newton's method on L(u) = i lambda, which
+covers the central-difference series' stable band up to tau*lambda/2 = 0.999.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,6 +64,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 16
+_NEWTON_STEPS = 60  # a cap: a root inside the band converges in under ten
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -72,15 +82,6 @@ class CflViolationError(RuntimeError):
         )
 
 
-def _fraction(x) -> Fraction:
-    # floats lift exactly (every float is a dyadic rational)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
-
-
 # -- formal power series (exponential coefficients) ---------------------------
 
 
@@ -91,7 +92,7 @@ class PowerSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:
@@ -99,14 +100,14 @@ class PowerSeries:
 
     @classmethod
     def from_exponential(cls, coeffs: Iterable, order: int | None = None) -> "PowerSeries":
-        cs = [_fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         if order is not None:
             cs = (cs + [_F0] * order)[:order]
         return cls(tuple(cs))
 
     @classmethod
     def from_ordinary(cls, coeffs: Iterable) -> "PowerSeries":
-        return cls(tuple(_fraction(c) * math.factorial(k) for k, c in enumerate(coeffs)))
+        return cls(tuple(Fraction(c) * math.factorial(k) for k, c in enumerate(coeffs)))
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
@@ -128,44 +129,26 @@ class PowerSeries:
         return PowerSeries(tuple(a - b for a, b in zip(self.coeffs[:K], other.coeffs[:K])))
 
     def scale(self, factor) -> "PowerSeries":
-        f = _fraction(factor)
+        f = Fraction(factor)
         return PowerSeries(tuple(f * c for c in self.coeffs))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         K = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [_F0] * K
-        for n in range(K):
-            out[n] = sum((math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), _F0)
-        return PowerSeries(tuple(out))
+        return PowerSeries.from_ordinary(_ord_mul(list(self.ordinary()), list(other.ordinary()), K))
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(s)); inner must have zero constant term."""
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires a series with zero constant term")
         K = min(self.order, inner.order)
-        out = _const_series(self.coeffs[0], K)
-        power = _const_series(_F1, K)
-        for k in range(1, K):
-            power = power * inner
-            ck = self.coeffs[k]
-            if ck:
-                out = out + power.scale(Fraction(ck, math.factorial(k)))
-        return out
+        return PowerSeries.from_ordinary(_ord_compose(list(self.ordinary()), list(inner.ordinary()), K))
 
     def derivative(self) -> "PowerSeries":
         return PowerSeries(self.coeffs[1:])
 
     def evaluate(self, x):
         """Horner evaluation of the truncated polynomial; exact for Fraction x."""
-        acc = 0 * x if not isinstance(x, Fraction) else _F0
-        for c in reversed(self.ordinary()):
-            acc = acc * x + c
-        return acc
-
-
-def _const_series(c: Fraction, order: int) -> PowerSeries:
-    return PowerSeries((c,) + (_F0,) * (order - 1))
+        return poly_eval(self.ordinary(), x)
 
 
 def _ord_mul(a: list[Fraction], b: list[Fraction], K: int) -> list[Fraction]:
@@ -218,29 +201,30 @@ def compositional_inverse(L: PowerSeries) -> PowerSeries:
 
 
 def _poly(p: Sequence) -> tuple[Fraction, ...]:
-    out = tuple(_fraction(c) for c in p)
+    out = tuple(Fraction(c) for c in p)
     while len(out) > 1 and out[-1] == 0:
         out = out[:-1]
     return out if out else (_F0,)
 
 
 def poly_eval(p: Sequence, x):
+    """Horner evaluation of a polynomial; exact for Fraction x, floats lift exactly."""
     acc = 0 * x if not isinstance(x, Fraction) else _F0
-    for c in reversed([_fraction(c) for c in p]):
+    for c in reversed([Fraction(c) for c in p]):
         acc = acc * x + c
     return acc
 
 
 def poly_derivative(p: Sequence) -> tuple[Fraction, ...]:
-    q = [_fraction(c) * k for k, c in enumerate(p)][1:]
+    q = [Fraction(c) * k for k, c in enumerate(p)][1:]
     return _poly(q) if q else (_F0,)
 
 
 def poly_shift(p: Sequence, a) -> tuple[Fraction, ...]:
     """Coefficients of p(t + a), exact for rational a."""
-    a = _fraction(a)
+    a = Fraction(a)
     out = [_F0] * len(p)
-    for k, c in enumerate(_fraction(c) for c in p):
+    for k, c in enumerate(Fraction(c) for c in p):
         if not c:
             continue
         # c (t + a)^k expanded binomially
@@ -251,7 +235,7 @@ def poly_shift(p: Sequence, a) -> tuple[Fraction, ...]:
 
 def difference_quotient(p: Sequence, tau) -> tuple[Fraction, ...]:
     """[p(t + tau/2) - p(t - tau/2)] / tau, exactly."""
-    tau = _fraction(tau)
+    tau = Fraction(tau)
     plus = poly_shift(p, tau / 2)
     minus = poly_shift(p, -tau / 2)
     n = max(len(plus), len(minus))
@@ -265,49 +249,81 @@ def difference_quotient(p: Sequence, tau) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class DeltaOperator:
-    """A delta series together with its compositional inverse.
+    """A delta operator L(d/dt), which is also the time axis a solver runs on.
 
-    kind is one of "continuous" (plain derivative), "central_difference"
-    (symmetric quotient of step tau), or "custom".  The built-in kinds carry
-    closed-form inverse symbols; custom operators fall back to truncated
-    series evaluation with a round-trip convergence guard.
+    ``derivative()`` (alias ``continuous()``) is the plain derivative and
+    admits any real time.  ``central_difference(tau)`` is the symmetric
+    quotient of step tau: it admits integer multiples of tau/2 (exact up to
+    1e-9 relative) and frequencies up to its CFL bound 2/tau.  Both have
+    closed-form symbols, and their exact series and its inverse are built
+    only when the exact polynomial tools ask for them.  ``from_series(L)``
+    takes an explicit delta series, admits any real time, and evaluates its
+    inverse symbol by Newton's method under a round-trip guard.
     """
 
-    series: PowerSeries
-    inverse: PowerSeries
-    kind: str
-    tau: float | None = None
+    tau: float | None = None  # the step of a central difference
+    order: int = DEFAULT_ORDER
+    custom: PowerSeries | None = field(default=None, repr=False)
 
     @classmethod
     def derivative(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
-        s = PowerSeries.identity(order)
-        return cls(series=s, inverse=s, kind="continuous")
+        return cls(order=order)
+
+    continuous = derivative  # the name the solvers' time models use
 
     @classmethod
     def central_difference(cls, tau: float, order: int = DEFAULT_ORDER) -> "DeltaOperator":
         """L(s) = (2/tau) sinh(tau s / 2)."""
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        ft = _fraction(tau)
-        coeffs = [_F0] * order
-        for k in range(1, order, 2):
-            # exponential coefficient of (2/tau) * (tau/2)^k s^k / k!
-            coeffs[k] = (ft / 2) ** (k - 1)
-        series = PowerSeries(tuple(coeffs))
-        return cls(series=series, inverse=compositional_inverse(series), kind="central_difference", tau=float(tau))
+        return cls(tau=float(tau), order=order)
 
     @classmethod
     def from_series(cls, series: PowerSeries) -> "DeltaOperator":
-        return cls(series=series, inverse=compositional_inverse(series), kind="custom")
+        return cls(custom=series)
 
     def __post_init__(self) -> None:
-        cs = self.series.coeffs
-        if cs[0] != 0 or len(cs) < 2 or cs[1] == 0:
-            raise ValueError("delta operator requires b_0 = 0 and b_1 != 0")
+        if self.tau is not None and not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.custom is not None:
+            cs = self.custom.coeffs
+            if self.tau is not None:
+                raise ValueError("a custom delta series has no step tau")
+            if cs[0] != 0 or len(cs) < 2 or cs[1] == 0:
+                raise ValueError("delta operator requires b_0 = 0 and b_1 != 0")
+            object.__setattr__(self, "order", self.custom.order)
 
-    @property
-    def order(self) -> int:
-        return self.series.order
+    @cached_property
+    def series(self) -> PowerSeries:
+        """The exact delta series, built on first use."""
+        if self.custom is not None:
+            return self.custom
+        if self.tau is None:
+            return PowerSeries.identity(self.order)
+        # exponential coefficient of (2/tau) * (tau/2)^k s^k / k! at odd k
+        half = Fraction(self.tau) / 2
+        return PowerSeries(tuple(half ** (k - 1) if k % 2 else _F0 for k in range(self.order)))
+
+    @cached_property
+    def inverse(self) -> PowerSeries:
+        """The compositional inverse M = L^{-1}, built on first use."""
+        return compositional_inverse(self.series)
+
+    def validate_time(self, t: float) -> float:
+        t = float(t)
+        if not np.isfinite(t):
+            raise ValueError(f"time t must be finite, got {t}")
+        if self.tau is not None:
+            k = 2.0 * t / self.tau
+            if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
+                raise ValueError(f"time {t} is not an integer multiple of tau/2 = {self.tau / 2}")
+        return t
+
+    def cfl_bound(self) -> float:
+        """Largest admissible frequency: 2/tau for central differences, else infinite."""
+        return np.inf if self.tau is None else 2.0 / self.tau
+
+    def multipliers(self, lam: np.ndarray, t: float, allow_unstable: bool = False):
+        """The wave-multiplier pair (c, s) over the frequencies lam at an admissible time t."""
+        return wave_multiplier_arrays(self, lam, self.validate_time(t), allow_unstable=allow_unstable)
 
     def apply(self, p: Sequence) -> tuple[Fraction, ...]:
         """Apply L(d/dt) to a polynomial in t; exact, truncation-free.
@@ -330,18 +346,45 @@ class DeltaOperator:
         return _poly(out)
 
     def inverse_symbol(self, w: complex) -> complex:
-        """L^{-1} evaluated at a point, principal branches for built-ins."""
-        if self.kind == "continuous":
+        """L^{-1} evaluated at a point: principal branches for built-ins, the multipliers' Newton path else."""
+        if self.custom is not None:
+            return complex(self._custom_inverse(np.asarray([w], dtype=complex))[0])
+        if self.tau is None:
             return complex(w)
-        if self.kind == "central_difference":
-            return 2.0 / self.tau * cmath.asinh(self.tau * w / 2.0)
-        val = complex(self.inverse.evaluate(complex(w)))
-        back = complex(self.series.evaluate(val))
-        if abs(back - w) > 1e-9 * max(1.0, abs(w)):
+        return 2.0 / self.tau * cmath.asinh(self.tau * w / 2.0)
+
+    def _custom_inverse(self, w: np.ndarray) -> np.ndarray:
+        """M(w) of a custom series: Newton's method on the truncated L(u) = w, from the truncated M(w).
+
+        The guard asks L(u) to round-trip to w within 1e-9 relative, counting
+        the series' last two orders at u as error too: a root counts only
+        where the truncated series has converged, which refuses the spurious
+        roots that truncation grows far from the origin, and NaN.
+        """
+        l = np.array([complex(c) for c in self.series.ordinary()])
+        dl = l[1:] * np.arange(1, len(l))
+        u = _horner([complex(c) for c in self.inverse.ordinary()], w)
+        with np.errstate(all="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                step = (_horner(l, u) - w) / _horner(dl, u)
+                u = u - step
+                if np.all(np.abs(step) <= 1e-12 * np.abs(u)):
+                    break
+            tail = sum(l[k] * u**k for k in range(max(2, len(l) - 2), len(l)))
+            miss = np.abs(_horner(l, u) - w) + np.abs(tail)
+        bad = ~(miss <= 1e-9 * np.maximum(1.0, np.abs(w)))
+        if np.any(bad):
             raise ValueError(
-                f"series evaluation of the inverse symbol at {w} is outside the convergence guard"
+                f"series evaluation of the inverse symbol at {complex(w[bad][0])} is outside the convergence guard"
             )
-        return val
+        return u
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def basic_sequence(op: DeltaOperator, count: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -451,42 +494,34 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float, allow_u
     if np.any(lam < 0):
         raise ValueError("frequencies must be nonnegative")
     t = float(t)
-    if op.kind == "continuous":
+    if op.custom is not None:
+        # a custom series: its inverse symbol u over the whole array, in the continuous formulas
+        u = op._custom_inverse(1j * lam)
+        safe = np.where(lam == 0.0, 1.0, lam)
+        c = np.cosh(t * u)
+        s = np.where(lam == 0.0, t * complex(op.inverse.coeffs[1]), np.sinh(t * u) / (1j * safe))
+        return c, s
+    if op.tau is None:
         c = np.cos(t * lam)
         safe = np.where(lam == 0.0, 1.0, lam)
         s = np.where(lam == 0.0, t, np.sin(t * lam) / safe)
         return c, s
-    if op.kind == "central_difference":
-        tau = op.tau
-        u = tau * lam / 2.0
-        k = 2.0 * t / tau
-        if np.any(u > 1.0):
-            if not allow_unstable:
-                raise CflViolationError(float(lam.max()), 2.0 / tau)
-            theta = np.arcsin(u.astype(complex))
-            safe = np.where(lam == 0.0, 1.0, lam).astype(complex)
-            c = np.cos(k * theta)
-            s = np.where(lam == 0.0, complex(t), np.sin(k * theta) / safe)
-            return c, s
-        theta = np.arcsin(u)
+    tau = op.tau
+    u = tau * lam / 2.0
+    k = 2.0 * t / tau
+    if np.any(u > 1.0):
+        if not allow_unstable:
+            raise CflViolationError(float(lam.max()), 2.0 / tau)
+        theta = np.arcsin(u.astype(complex))
+        safe = np.where(lam == 0.0, 1.0, lam).astype(complex)
         c = np.cos(k * theta)
-        safe = np.where(lam == 0.0, 1.0, lam)
-        direct = np.sin(k * theta) / safe
-        series = _central_s_series(t, k, u)
-        small = (u < 1e-4) & (np.abs(k) * u < 1e-2)
-        s = np.where(lam == 0.0, t, np.where(small, series, direct))
+        s = np.where(lam == 0.0, complex(t), np.sin(k * theta) / safe)
         return c, s
-    # custom kind: pointwise through the guarded series symbol
-    c = np.empty(lam.shape, dtype=complex)
-    s = np.empty(lam.shape, dtype=complex)
-    mu1 = complex(op.inverse.coeffs[1]) if op.inverse.order > 1 else 0.0
-    for idx in np.ndindex(*lam.shape):
-        lv = lam[idx]
-        if lv == 0.0:
-            c[idx] = 1.0
-            s[idx] = t * mu1
-            continue
-        u = op.inverse_symbol(1j * lv)
-        c[idx] = cmath.cosh(t * u)
-        s[idx] = cmath.sinh(t * u) / (1j * lv)
+    theta = np.arcsin(u)
+    c = np.cos(k * theta)
+    safe = np.where(lam == 0.0, 1.0, lam)
+    direct = np.sin(k * theta) / safe
+    series = _central_s_series(t, k, u)
+    small = (u < 1e-4) & (np.abs(k) * u < 1e-2)
+    s = np.where(lam == 0.0, t, np.where(small, series, direct))
     return c, s

@@ -97,6 +97,8 @@ def test_criterion_13_cli_end_to_end(criterion, tmp_path):
             ("dirac", ["evolve", "--config", str(FIXTURES / "dirac.cfg")]),
             ("dirac2d", ["evolve", "--config", str(FIXTURES / "dirac2d.cfg")]),
             ("kg3d", ["evolve", "--config", str(FIXTURES / "kg3d.cfg")]),
+            ("kg2d_continuous", ["evolve", "--config", str(FIXTURES / "kg2d_continuous.cfg")]),
+            ("dirac2d_continuous", ["evolve", "--config", str(FIXTURES / "dirac2d_continuous.cfg")]),
             ("heat_kernel", ["kernel", "--kind", "heat", "--config", str(FIXTURES / "heat_kernel.cfg")]),
             ("spectrum", ["spectrum", "--config", str(FIXTURES / "spectrum.cfg")]),
         ]

@@ -3,6 +3,7 @@ one routine it exercises is perturbed in the ``latticewave.selftest`` namespace,
 and the checks must not rest on ``assert``, which ``python -O`` strips."""
 
 import ast
+import importlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,16 @@ def _plus_phi0(eps):
     return lambda real: lambda data, *args, **kw: real(data, *args, **kw) + getattr(data, "phi0", data) * eps
 
 
+def _first_odd_column_negated(real):
+    # z = sum_j (-i a_j e_j + b_j e_{n+j}) with e_{n+1} negated still squares to d^2
+    def z_on(axes, alpha, h):
+        cols = real(axes, alpha, h)
+        cols[..., len(axes)] *= -1.0
+        return cols
+
+    return z_on
+
+
 def _one_coefficient_off(real):
     def basic_sequence(op, count=None):
         polys = real(op, count)
@@ -35,6 +46,7 @@ FAULTS = [
     ("algebra_relations", "pseudoscalar", _scaled(1 + 1e-9)),
     ("factorization", "discrete_laplacian", _scaled(1.01)),
     ("multiplier_square", "d2_field", _scaled(1 + 1e-9)),
+    ("multiplier_square", "spectral._z_on", _first_odd_column_negated),
     ("transforms", "convolve", lambda real: lambda f, g: real(g, f)),
     ("transforms", "dft_direct", _scaled(1 + 1e-9)),
     ("kg_central_exactness", "solve_kg", _plus_phi0(1e-6)),
@@ -56,7 +68,10 @@ FAULTS = [
 
 @pytest.mark.parametrize("check,name,fault", FAULTS, ids=[f"{c}-{n}" for c, n, _ in FAULTS])
 def test_planted_fault_fails_its_check(monkeypatch, check, name, fault):
-    monkeypatch.setattr(selftest, name, fault(getattr(selftest, name)))
+    # a dotted name is patched in its own latticewave module, the rest in selftest's namespace
+    module, _, attr = name.rpartition(".")
+    owner = importlib.import_module(f"latticewave.{module}") if module else selftest
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     with pytest.raises(CheckFailed):
         getattr(selftest, f"check_{check}")()
 

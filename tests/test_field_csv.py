@@ -184,6 +184,14 @@ def test_comments_and_blank_lines_between_rows_are_skipped(tmp_path, chunk, newl
     assert np.count_nonzero(got.values) == 3
 
 
+@pytest.mark.parametrize("space", ["\xa0", "\u3000", "\x1c", "\x85"], ids=["nbsp", "ideographic", "fs", "nel"])
+def test_lines_of_unicode_whitespace_are_skipped(tmp_path, chunk, space):
+    text = HEAD + f"0,,1.0,0.5\n{space}\n{space} \t{space}\n1,1,2.0,-0.0\n{space}"
+    got = _assert_same(_write(tmp_path, "f.csv", text))
+    assert got.values[0, 0] == 1.0 + 0.5j and got.values[1, 1] == 2.0
+    assert np.count_nonzero(got.values) == 2
+
+
 def test_repeated_row_keeps_its_last_value(tmp_path, chunk):
     text = HEAD + "0,,1.0,0.0\n1,2,5.0,5.0\n0,,2.0,3.0\n3,,1.0,1.0\n0,,-4.0,-0.0\n"
     got = _assert_same(_write(tmp_path, "f.csv", text))

@@ -114,6 +114,19 @@ ROWS = [
         },
     ),
     Row(
+        "kg-custom-series",
+        _solve_kg,
+        lambda x: propagators.solve_kg(x.data, umbral.DeltaOperator.from_series(x.time.series), x.m, 3 * TAU),
+        path=KG_PATH + (umbral._central_s_series,),
+        never=(umbral._central_s_series,),
+        shared={
+            propagators._combine: "the solver route, which kg-leapfrog and kg-chebyshev check, so this row "
+            "checks the multipliers",
+            umbral.wave_multiplier_arrays: "the entry of both multiplier routes: the twin solves the operator's "
+            "own series by Newton's method, never the closed-form arcsin branch",
+        },
+    ),
+    Row(
         "convolution",
         lambda x: spectral.convolve(x.f, x.g),
         lambda x: spectral.convolve_direct(x.f, x.g),
@@ -265,7 +278,12 @@ def _euler_through_the_semigroup(f, s, steps):
     return fractional.heat_semigroup(f, s)
 
 
+def _series_through_the_closed_form(series):
+    return umbral.DeltaOperator.central_difference(TAU)
+
+
 PLANTED = [
+    ("kg-custom-series", umbral.DeltaOperator, "from_series", _series_through_the_closed_form, "_central_s_series"),
     ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
     ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),

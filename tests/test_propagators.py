@@ -45,12 +45,10 @@ def _grid1(N=16, h=0.5):
 
 
 def test_time_model_validation():
-    with pytest.raises(ValueError):
-        TimeModel(kind="adaptive", delta=DeltaOperator.derivative())
-    with pytest.raises(ValueError):
-        TimeModel(kind="continuous")  # bypassing the constructors loses the operator
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau"):
         TimeModel.central_difference(0.0)
+    with pytest.raises(ValueError, match="tau"):
+        TimeModel(tau=-0.5)  # the constructor checks tau too
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -358,6 +356,21 @@ def test_dirac_data_alpha_zero_matches_position_stencil(rng):
     data = dirac_data(f, 0.0, 0.0)
     want = dirac_kahler(f) * 1j
     assert relative_gap(data.phi1, want) <= 1e-12
+
+
+def test_custom_series_solve_matches_the_built_in_central_difference(rng):
+    # an independent twin of the closed-form arcsin multipliers: the same operator given as an explicit
+    # series, whose inverse symbol comes from Newton's method on the truncated series
+    grid = GridSpec((6, 6, 4), 1.0, 0.25, 1.0)
+    tau = 0.49
+    assert tau * lambda_max(grid, 1.0) / 2.0 <= 0.9
+    built_in = TimeModel.central_difference(tau)
+    custom = DeltaOperator.from_series(built_in.series)
+    data = CauchyData(random_field(grid, rng), random_field(grid, rng))
+    for t in (tau / 2, 7 * tau / 2, -5 * tau):
+        want = solve_kg(data, built_in, 1.0, t)
+        assert relative_gap(solve_kg(data, custom, 1.0, t), want) <= 1e-12
+        assert relative_gap(Propagator(data, 1.0).at(custom, t), want) <= 1e-12
 
 
 # -- propagation plan ------------------------------------------------------------

@@ -175,6 +175,56 @@ def test_custom_operator_from_series():
         assert a == b
 
 
+TAU = 0.5
+CUSTOM_CENTRAL = DeltaOperator.from_series(DeltaOperator.central_difference(TAU).series)
+
+
+def test_custom_central_difference_passes_its_guard_across_the_band():
+    # tau*lambda/2 in [0, 0.999]: Newton's method on the truncated series finds M(i lambda) everywhere
+    lam = np.linspace(0.0, 0.999, 2001) * 2.0 / TAU
+    for t in (0.0, 1.5, -2.5, 7.0):
+        c, s = wave_multiplier_arrays(CUSTOM_CENTRAL, lam, t)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    u = CUSTOM_CENTRAL._custom_inverse(1j * lam)
+    back = np.array([complex(CUSTOM_CENTRAL.series.evaluate(complex(v))) for v in u[::50]])
+    assert np.max(np.abs(back - 1j * lam[::50])) <= 1e-9 * np.max(lam)
+
+
+def test_custom_central_difference_matches_the_built_in_multipliers():
+    built_in = DeltaOperator.central_difference(TAU)
+    lam = np.linspace(0.0, 0.9, 901) * 2.0 / TAU
+    for t in (0.5, 1.5, 4.0, -3.0):
+        c, s = wave_multiplier_arrays(CUSTOM_CENTRAL, lam, t)
+        cb, sb = wave_multiplier_arrays(built_in, lam, t)
+        assert np.max(np.abs(c - cb)) <= 1e-12 and np.max(np.abs(s - sb)) <= 1e-12
+        assert np.max(np.abs(c.imag)) <= 1e-12  # M(i lambda) is imaginary inside the band
+
+
+@pytest.mark.parametrize("x", [1.0001, 1.01, 1.2, 1.5, 2.0, 3.0, 10.0, 1e3, 1e8])
+def test_custom_operator_past_the_band_trips_the_guard(x):
+    # the truncated series also has far roots past the band; the guard refuses them, and NaN, by name
+    with pytest.raises(ValueError, match="outside the convergence guard"):
+        wave_multiplier_arrays(CUSTOM_CENTRAL, np.array([0.3, x * 2.0 / TAU]), 1.5)
+    with pytest.raises(ValueError, match="outside the convergence guard"):
+        CUSTOM_CENTRAL.inverse_symbol(1j * x * 2.0 / TAU)
+
+
+def test_custom_inverse_symbol_matches_the_closed_form():
+    for w in (0.3, 0.2 + 0.1j, 3.5j, -2.0j):
+        want = DeltaOperator.central_difference(TAU).inverse_symbol(w)
+        assert abs(CUSTOM_CENTRAL.inverse_symbol(w) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_built_in_operators_build_their_series_on_demand():
+    op = DeltaOperator.central_difference(TAU)
+    assert "series" not in vars(op) and "inverse" not in vars(op)
+    wave_multiplier_arrays(op, np.array([0.5, 1.0]), 1.5)
+    op.inverse_symbol(0.5j)
+    assert "series" not in vars(op) and "inverse" not in vars(op)
+    assert op.series.ordinary()[3] == Fraction(1, 96)  # (2/tau) sinh(tau s / 2) = s + tau^2 s^3 / 24 + ...
+    assert op.inverse is op.inverse
+
+
 # -- EGF evaluation -------------------------------------------------------------
 
 
