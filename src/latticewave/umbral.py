@@ -269,7 +269,10 @@ class DeltaOperator:
     def derivative(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
         return cls(order=order)
 
-    continuous = derivative  # the name the solvers' time models use
+    @classmethod
+    def continuous(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
+        """The plain derivative, under the name the solvers' time models use."""
+        return cls.derivative(order)
 
     @classmethod
     def central_difference(cls, tau: float, order: int = DEFAULT_ORDER) -> "DeltaOperator":
