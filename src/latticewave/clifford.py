@@ -117,27 +117,6 @@ def active_blades(arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(flat.any(axis=0))
 
 
-def _product(n: int, sa: np.ndarray, a: np.ndarray, sb: np.ndarray, b: np.ndarray, dense: bool):
-    # the one column-level product behind mul_columns and mul_arrays; with
-    # ``dense`` it accumulates straight into all 4**n blades
-    sign, _ = _tables(n)
-    size = 1 << (2 * n)
-    targets = sa[:, None] ^ sb[None, :]
-    support = None
-    if not dense:
-        hit = np.zeros(size, dtype=bool)
-        hit[targets] = True
-        support = np.flatnonzero(hit)
-        targets = (np.cumsum(hit) - 1)[targets]
-    signs = sign[sa[:, None], sb[None, :]]
-    width = size if dense else support.size
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,), dtype=complex)
-    for col in range(sa.size):
-        # j -> i ^ j is one to one, so fancy-index accumulation is safe here
-        out[..., targets[col]] += a[..., col, None] * (signs[col] * b)
-    return support, out
-
-
 def mul_columns(n: int, sa, a: np.ndarray, sb, b: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """Pointwise geometric product of blade columns: ``(support, columns)``.
 
@@ -150,7 +129,18 @@ def mul_columns(n: int, sa, a: np.ndarray, sb, b: np.ndarray) -> tuple[tuple[int
     ascending order of the left blade, starting from zero, exactly as a
     dense double loop over the same supports does.
     """
-    support, out = _product(n, np.asarray(sa, dtype=np.intp), a, np.asarray(sb, dtype=np.intp), b, False)
+    sa, sb = np.asarray(sa, dtype=np.intp), np.asarray(sb, dtype=np.intp)
+    sign, _ = _tables(n)
+    targets = sa[:, None] ^ sb[None, :]
+    hit = np.zeros(1 << (2 * n), dtype=bool)
+    hit[targets] = True
+    support = np.flatnonzero(hit)
+    targets = (np.cumsum(hit) - 1)[targets]
+    signs = sign[sa[:, None], sb[None, :]]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (support.size,), dtype=complex)
+    for col in range(sa.size):
+        # j -> i ^ j is one to one, so fancy-index accumulation is safe here
+        out[..., targets[col]] += a[..., col, None] * (signs[col] * b)
     return tuple(support.tolist()), out
 
 
@@ -161,10 +151,10 @@ def mul_arrays(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The first argument multiplies from the left (the product does not
     commute).
 
-    The supports (blades nonzero at some site) are read off the arrays and
-    the column-level product of ``mul_columns`` runs on them, accumulating
-    into the dense result.  Skipping the zero pairs changes at most the sign
-    of an exact zero (and drops ``inf * 0`` / ``nan * 0`` terms) against a
+    The supports (blades nonzero at some site) are read off the arrays,
+    ``mul_columns`` multiplies their columns, and its columns are laid into
+    the dense result.  Skipping the zero pairs changes at most the sign of
+    an exact zero (and drops ``inf * 0`` / ``nan * 0`` terms) against a
     dense double loop.
     """
     size = 1 << (2 * n)
@@ -173,7 +163,12 @@ def mul_arrays(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] != size or b.shape[-1] != size:
         raise ValueError(f"coefficient arrays must have last axis {size}")
     sa, sb = active_blades(a), active_blades(b)
-    return _product(n, sa, a if sa.size == size else a[..., sa], sb, b if sb.size == size else b[..., sb], True)[1]
+    support, cols = mul_columns(n, sa, a if sa.size == size else a[..., sa], sb, b if sb.size == size else b[..., sb])
+    if len(support) == size:
+        return cols
+    out = np.zeros(cols.shape[:-1] + (size,), dtype=complex)
+    out[..., list(support)] = cols
+    return out
 
 
 def dagger_arrays(n: int, arr: np.ndarray) -> np.ndarray:

@@ -61,6 +61,11 @@ __all__ = [
 
 BESSEL_MAX_ARG = 700.0  # e^700 is still finite in double precision
 ML_MAX_ABS = 30.0
+# the subordination rule: trapezoid nodes in log t, the error bound of its
+# analytic head, and the decay e^{-t m^2} = e^-40 that places its cutoff
+SUBORDINATION_NODES = 200
+SUBORDINATION_HEAD_TOL = 1e-10
+SUBORDINATION_DECAY = 40.0
 
 
 # -- heat ----------------------------------------------------------------------
@@ -245,35 +250,24 @@ def erfc(u: float) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Exponent and quadrature settings for the fractional operators.
+    """Exponent alpha and mass m of the fractional operators.
 
     alpha is restricted to (0, 1/2): it doubles as the Dirac splitting
     parameter of the Riesz operator, and the massless endpoint alpha = 1/2
     has no absolutely convergent subordination integral.  m > 0 keeps the
-    integrand exponentially decaying.
+    integrand exponentially decaying.  The subordination rule's settings
+    are the module constants ``SUBORDINATION_*``: 200 nodes, a head bound
+    of 1e-10 and the cutoff 40/m^2.
     """
 
     alpha: float
     m: float
-    nodes: int = 200
-    t_max: float | None = None
-    head_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie strictly between 0 and 1/2, got {self.alpha}")
         if not 0 < self.m < np.inf:
             raise ValueError(f"mass must be positive and finite, got {self.m}")
-        if int(self.nodes) != self.nodes or self.nodes < 10:
-            raise ValueError(f"need at least 10 quadrature nodes, got {self.nodes}")
-        if self.t_max is not None and not 0 < self.t_max < np.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if not self.head_tol > 0:
-            raise ValueError("head_tol must be positive")
-
-    def upper_cutoff(self) -> float:
-        # e^{-t m^2} has decayed to e^-40 here
-        return self.t_max if self.t_max is not None else 40.0 / self.m**2
 
 
 def _power_multiplier(grid: GridSpec, m: float, exponent: float) -> np.ndarray:
@@ -311,12 +305,13 @@ def _frac_power_subordination(f: LatticeField, p: FracParams) -> LatticeField:
     lam4 = (lambda_max(f.grid, m)) ** 4
     # truncating the series head e^{-t mu} ~ 1 - t mu after two terms costs
     # at most lam_max^4 t0^{2+alpha} / (2 (2+alpha) Gamma(alpha))
-    t0 = (p.head_tol * 2.0 * (2.0 + alpha) * gamma_a / lam4) ** (1.0 / (2.0 + alpha))
-    T = p.upper_cutoff()
+    t0 = (SUBORDINATION_HEAD_TOL * 2.0 * (2.0 + alpha) * gamma_a / lam4) ** (1.0 / (2.0 + alpha))
+    T = SUBORDINATION_DECAY / m**2
     lo, hi = math.log(t0), math.log(T)
     if hi <= lo:
-        raise ValueError("quadrature window is empty; raise t_max or loosen head_tol")
-    u = np.linspace(lo, hi, int(p.nodes))
+        raise ValueError(f"quadrature window is empty at m = {m}, alpha = {alpha}: "
+                         f"the head ends at t0 = {t0:.3g}, past the cutoff {SUBORDINATION_DECAY:g}/m^2 = {T:.3g}")
+    u = np.linspace(lo, hi, SUBORDINATION_NODES)
     du = u[1] - u[0]
     # built before the quadrature's transform, so the two are the only fields held at once
     head = _subordination_head(f, t0, alpha, m)
@@ -383,15 +378,15 @@ def fractional_kernels(grid: GridSpec, time: TimeModel, p: FracParams, t: float,
 
 
 def solve_kg_fractional(data: CauchyData, time: TimeModel, p: FracParams, t: float,
-                        mode: str = "spectral", allow_unstable: bool = False) -> LatticeField:
+                        allow_unstable: bool = False) -> LatticeField:
     """Klein-Gordon solution via fractional kernels and damped data.
 
-    (2 pi)^(-n/2) [ K0a * (-Lap+m^2)^{-alpha} Phi0 + K1a * (-Lap+m^2)^{-alpha} Phi1 ].
-    Must agree with solve_kg; the mode picks how the damping is computed.
+    (2 pi)^(-n/2) [ K0a * (-Lap+m^2)^{-alpha} Phi0 + K1a * (-Lap+m^2)^{-alpha} Phi1 ],
+    with the spectral damping.  Must agree with solve_kg.
     """
     K0a, K1a = fractional_kernels(data.grid, time, p, t, allow_unstable=allow_unstable)
-    d0 = frac_power(data.phi0, p, mode=mode)
-    d1 = frac_power(data.phi1, p, mode=mode)
+    d0 = frac_power(data.phi0, p)
+    d1 = frac_power(data.phi1, p)
     n = data.grid.n
     return (2.0 * np.pi) ** (-n / 2.0) * (convolve(K0a, d0) + convolve(K1a, d1))
 

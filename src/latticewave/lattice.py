@@ -14,11 +14,10 @@ Sign conventions used throughout:
   i.e. returns ``x -> f(x - s h e_j)``.
 * ``discrete_laplacian`` is the symmetric second-difference stencil
   ``sum_j [f(x + h e_j) + f(x - h e_j) - 2 f(x)] / h**2``.
-* ``dirac_kahler`` with step ``eps`` applies, by left Clifford
-  multiplication,
+* ``dirac_kahler`` applies, by left Clifford multiplication,
 
-      sum_j e_j     [f(x + eps e_j) - f(x - eps e_j)] / (2 eps)
-    + sum_j e_{n+j} [2 f(x) - f(x + eps e_j) - f(x - eps e_j)] / (2 eps)
+      sum_j e_j     [f(x + h e_j) - f(x - h e_j)] / (2 h)
+    + sum_j e_{n+j} [2 f(x) - f(x + h e_j) - f(x - h e_j)] / (2 h)
 
   and ``dirac_kahler_dagger`` negates the first (antisymmetric) sum.
 * ``inner_product(f, g) = sum_x h**n f(x)^† g(x)`` is multivector valued;
@@ -97,16 +96,6 @@ class GridSpec:
     @property
     def site_count(self) -> int:
         return int(np.prod(self.shape))
-
-    def coordinates(self, symmetric: bool = False) -> tuple[np.ndarray, ...]:
-        """Per-axis site coordinates ``h*k``; symmetric wraps into (-Nh/2, Nh/2]."""
-        out = []
-        for N in self.shape:
-            k = np.arange(N)
-            if symmetric:
-                k = np.where(k <= N // 2, k, k - N)
-            out.append(self.h * k)
-        return tuple(out)
 
     def refined(self) -> "GridSpec":
         """Grid with doubled points and halved spacing (same physical box)."""
@@ -286,12 +275,14 @@ class LatticeField(_CompactField):
 
     @classmethod
     def gaussian(cls, grid: GridSpec, width: float) -> "LatticeField":
+        """Scalar exp(-|x|^2 / (2 width^2)), each coordinate h*k wrapped into (-Nh/2, Nh/2]."""
         if not 0 < width < np.inf:
             raise ValueError(f"gaussian width must be positive and finite, got {width}")
         r2 = np.zeros(grid.shape)
-        for axis, x in enumerate(grid.coordinates(symmetric=True)):
-            xs = x.reshape([-1 if a == axis else 1 for a in range(grid.n)])
-            r2 = r2 + xs**2
+        for axis, N in enumerate(grid.shape):
+            k = np.arange(N)
+            x = grid.h * np.where(k <= N // 2, k, k - N)
+            r2 = r2 + x.reshape([-1 if a == axis else 1 for a in range(grid.n)]) ** 2
         return cls.from_scalar(grid, np.exp(-r2 / (2.0 * width**2)))
 
     # -- products -----------------------------------------------------------
@@ -374,24 +365,12 @@ def discrete_laplacian(f: LatticeField) -> LatticeField:
     return f._like(f.support, out)
 
 
-def _dirac_steps(grid: GridSpec, eps: float | None) -> tuple[int, float]:
-    eps = grid.h if eps is None else float(eps)
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be a positive finite multiple of h, got eps={eps}, h={grid.h}")
-    ratio = eps / grid.h
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > 1e-9:
-        raise ValueError(f"eps must be a positive integer multiple of h, got eps={eps}, h={grid.h}")
-    return k, eps
-
-
 _ONE = np.ones(1, dtype=complex)
 
 
-def _dirac_kahler(f: LatticeField, eps: float | None, first_sign: float) -> LatticeField:
+def _dirac_kahler(f: LatticeField, first_sign: float) -> LatticeField:
     g = f.grid
     n = g.n
-    k, eps = _dirac_steps(g, eps)
     gens = [(1 << (j - 1), 1 << (n + j - 1)) for j in range(1, n + 1)]  # e_j, e_{n+j}
     support = tuple(sorted({b ^ e for pair in gens for e in pair for b in f.support}))
 
@@ -402,22 +381,22 @@ def _dirac_kahler(f: LatticeField, eps: float | None, first_sign: float) -> Latt
     vals = f.columns
     out = np.zeros(g.shape + (len(support),), dtype=complex)
     for j, (ej, enj) in enumerate(gens, start=1):
-        fp = np.roll(vals, -k, axis=j - 1)  # f(x + eps e_j)
-        fm = np.roll(vals, +k, axis=j - 1)  # f(x - eps e_j)
-        odd = first_sign * (fp - fm) / (2.0 * eps)
-        even = (2.0 * vals - fp - fm) / (2.0 * eps)
+        fp = np.roll(vals, -1, axis=j - 1)  # f(x + h e_j)
+        fm = np.roll(vals, +1, axis=j - 1)  # f(x - h e_j)
+        odd = first_sign * (fp - fm) / (2.0 * g.h)
+        even = (2.0 * vals - fp - fm) / (2.0 * g.h)
         out += times(ej, odd) + times(enj, even)
     return f._like(support, out)
 
 
-def dirac_kahler(f: LatticeField, eps: float | None = None) -> LatticeField:
-    """First-order Clifford stencil whose square is minus the Laplacian (eps = h)."""
-    return _dirac_kahler(f, eps, +1.0)
+def dirac_kahler(f: LatticeField) -> LatticeField:
+    """First-order Clifford stencil of step h whose square is minus the Laplacian."""
+    return _dirac_kahler(f, +1.0)
 
 
-def dirac_kahler_dagger(f: LatticeField, eps: float | None = None) -> LatticeField:
+def dirac_kahler_dagger(f: LatticeField) -> LatticeField:
     """Adjoint stencil: the antisymmetric e_j sum enters with opposite sign."""
-    return _dirac_kahler(f, eps, -1.0)
+    return _dirac_kahler(f, -1.0)
 
 
 def inner_product(f: LatticeField, g: LatticeField) -> Multivector:

@@ -88,13 +88,28 @@ class CauchyData:
         return self.phi0.grid
 
 
+def _finite_mass(m: float) -> float:
+    # any sign: the sign of -m gamma matters for Dirac
+    m = float(m)
+    if not np.isfinite(m):
+        raise ValueError(f"mass m must be finite, got {m}")
+    return m
+
+
+def _positive_step(tau: float) -> float:
+    tau = float(tau)
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    return tau
+
+
 def lambda_field(grid: GridSpec, m: float) -> np.ndarray:
     """sqrt(d(xi)**2 + m**2) over the momentum grid."""
-    return np.sqrt(d2_field(grid) + float(m) ** 2)
+    return np.sqrt(d2_field(grid) + _finite_mass(m) ** 2)
 
 
 def lambda_max(grid: GridSpec, m: float) -> float:
-    return float(np.sqrt(4.0 * grid.n / grid.h**2 + float(m) ** 2))
+    return float(np.sqrt(4.0 * grid.n / grid.h**2 + _finite_mass(m) ** 2))
 
 
 def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
@@ -136,7 +151,7 @@ class Propagator:
     """
 
     def __init__(self, data: CauchyData, m: float):
-        self.grid, self.m, self.alpha = data.grid, float(m), None
+        self.grid, self.m, self.alpha = data.grid, _finite_mass(m), None
         self._data = data
         self._spectra = None  # (lambda, F Phi0, F Phi1), made by the first slice
 
@@ -207,7 +222,7 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     norm([next - 2 mid + prev]/tau^2 - Laplacian mid + m^2 mid), divided by
     the larger of the two sides' norms; zero fields give zero.
     """
-    quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / float(tau) ** 2)
+    quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / _positive_step(tau) ** 2)
     rhs = discrete_laplacian(psi_mid) - (float(m) ** 2) * psi_mid
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
@@ -215,16 +230,16 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     return norm(quot - rhs) / scale
 
 
-def _richardson(plan: Propagator, t: float, delta: float | None, psi: LatticeField | None, rhs_of, quotient):
+def _richardson(plan: Propagator, t: float, psi: LatticeField | None, rhs_of, quotient):
     """(extrapolated residual, estimated order) of a central quotient in t.
 
     ``quotient(plus, minus, mid, d)`` of the plan's continuous-time slices
     at t + d, t - d and t is compared against ``rhs_of(mid)`` at steps
-    delta and delta/2.  ``psi`` is the slice at t if the caller holds it.
+    delta = 1e-3 max(1, |t|) and delta/2.  ``psi`` is the slice at t if the
+    caller holds it.
     """
     time = TimeModel.continuous()
-    if delta is None:
-        delta = 1e-3 * max(1.0, abs(t))
+    delta = 1e-3 * max(1.0, abs(t))
     mid = plan.at(time, t) if psi is None else psi
     rhs = rhs_of(mid)
     scale = max(norm(rhs), norm(mid), 1e-300)
@@ -240,18 +255,18 @@ def _richardson(plan: Propagator, t: float, delta: float | None, psi: LatticeFie
     return extrap, float(order)
 
 
-def continuous_kg_residual(data: CauchyData | Propagator, m: float, t: float, delta: float | None = None,
-                           psi: LatticeField | None = None):
+def continuous_kg_residual(data: CauchyData | Propagator, m: float, t: float, psi: LatticeField | None = None):
     """Richardson check of the continuous-time equation at time t.
 
     Returns (extrapolated residual, estimated order): central second
-    differences in t at steps delta and delta/2 are compared against
-    (Laplacian - m^2) Psi(t); the plain residuals shrink like delta^2, so
-    the order estimate should sit near 2 and the extrapolation well below
-    either.  ``data`` may be a ``Propagator`` of the same mass, as in solve_kg,
-    and ``psi`` the continuous-time slice Psi(t) the caller already holds.
+    differences in t at steps delta = 1e-3 max(1, |t|) and delta/2 are
+    compared against (Laplacian - m^2) Psi(t); the plain residuals shrink
+    like delta^2, so the order estimate should sit near 2 and the
+    extrapolation well below either.  ``data`` may be a ``Propagator`` of
+    the same mass, as in solve_kg, and ``psi`` the continuous-time slice
+    Psi(t) the caller already holds.
     """
-    return _richardson(data._checked(m) if isinstance(data, Propagator) else Propagator(data, m), t, delta, psi,
+    return _richardson(data._checked(m) if isinstance(data, Propagator) else Propagator(data, m), t, psi,
                        lambda mid: discrete_laplacian(mid) - (float(m) ** 2) * mid,
                        lambda plus, minus, mid, d: (plus - 2.0 * mid + minus) * (1.0 / d**2))
 
@@ -300,7 +315,7 @@ def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, 
 def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: LatticeField,
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
-    quot = (psi_plus - psi_minus) * (1.0 / float(tau))
+    quot = (psi_plus - psi_minus) * (1.0 / _positive_step(tau))
     rhs = _dirac_velocity(dft(psi_mid), alpha, m)
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
@@ -309,7 +324,7 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
 
 
 def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: float, t: float,
-                              delta: float | None = None, psi: LatticeField | None = None):
+                              psi: LatticeField | None = None):
     """Richardson check of d/dt Psi = i(D - m gamma) Psi at time t.
 
     Same contract as continuous_kg_residual: returns (extrapolated residual,
@@ -318,7 +333,7 @@ def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: 
     and ``psi`` the continuous-time slice Psi(t) the caller already holds.
     """
     plan = phi0._checked(m, alpha) if isinstance(phi0, Propagator) else Propagator.dirac(phi0, alpha, m)
-    return _richardson(plan, t, delta, psi,
+    return _richardson(plan, t, psi,
                        lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
 
@@ -364,9 +379,7 @@ def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> Lattice
     stability bound (chi real) and must agree with solve_kg on the
     central-difference model.
     """
-    tau, t = float(tau), float(t)
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau, t = _positive_step(tau), float(t)
     if not np.isfinite(t):
         raise ValueError(f"time t must be finite, got {t}")
     kf = 2.0 * t / tau
@@ -395,12 +408,14 @@ def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau:
     Returns the slice at t + steps*tau.  Deliberately shares no code with
     the spectral path beyond the Laplacian stencil.
     """
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    tau = float(tau)
+    tau = _positive_step(tau)
     m2 = float(m) ** 2
     prev, cur = psi_prev, psi_cur
-    for _ in range(steps):
+    for _ in range(int(steps)):
         nxt = 2.0 * cur - prev + tau**2 * (discrete_laplacian(cur) - m2 * cur)
         prev, cur = cur, nxt
     return cur

@@ -248,7 +248,7 @@ def check_umbral_calculus(b: _Bounds, rng: np.random.Generator) -> None:
     tau = 0.5
     op = DeltaOperator.central_difference(tau)
     sig = Signature(1)
-    zm = multiplier_z((0.8,), 0.25, 1.0, sig) - pseudoscalar(sig) * 1.0
+    zm = multiplier_z((0.8,), 0.25, 1.0) - pseudoscalar(sig) * 1.0
     lam = math.sqrt(abs((zm * zm).coeffs[0]))
     omegas = [Multivector.generator(sig, 2), pseudoscalar(sig), zm * (1.0 / lam)]
 

@@ -102,8 +102,8 @@ def multiplier_d2(xi: Sequence[float] | float, h: float) -> float:
     return float(np.sum((4.0 / h**2) * np.sin(h * xi / 2.0) ** 2))
 
 
-def multiplier_z(xi: Sequence[float] | float, alpha: float, h: float, sig: Signature | None = None) -> Multivector:
-    """Dirac symbol z(xi) for splitting parameter alpha.
+def multiplier_z(xi: Sequence[float] | float, alpha: float, h: float) -> Multivector:
+    """Dirac symbol z(xi) for splitting parameter alpha, in the signature of dimension len(xi).
 
     Component along e_j:      -i [sin((1-alpha) h xi_j) + sin(alpha h xi_j)] / h
     Component along e_{n+j}:     [cos(alpha h xi_j) - cos((1-alpha) h xi_j)] / h
@@ -113,9 +113,7 @@ def multiplier_z(xi: Sequence[float] | float, alpha: float, h: float, sig: Signa
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     n = xi.size
-    sig = sig or Signature(n)
-    if sig.n != n:
-        raise ValueError("signature dimension does not match xi")
+    sig = Signature(n)
     coeffs = np.zeros(sig.blades, dtype=complex)
     for j in range(1, n + 1):
         u = h * xi[j - 1]

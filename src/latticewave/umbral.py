@@ -255,29 +255,29 @@ class DeltaOperator:
     admits any real time.  ``central_difference(tau)`` is the symmetric
     quotient of step tau: it admits integer multiples of tau/2 (exact up to
     1e-9 relative) and frequencies up to its CFL bound 2/tau.  Both have
-    closed-form symbols, and their exact series and its inverse are built
-    only when the exact polynomial tools ask for them.  ``from_series(L)``
-    takes an explicit delta series, admits any real time, and evaluates its
-    inverse symbol by Newton's method under a round-trip guard.
+    closed-form symbols, and their exact series (of order ``DEFAULT_ORDER``)
+    and its inverse are built only when the exact polynomial tools ask for
+    them.  ``from_series(L)`` takes an explicit delta series, whose length
+    is its order, admits any real time, and evaluates its inverse symbol by
+    Newton's method under a round-trip guard.
     """
 
     tau: float | None = None  # the step of a central difference
-    order: int = DEFAULT_ORDER
     custom: PowerSeries | None = field(default=None, repr=False)
 
     @classmethod
-    def derivative(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
-        return cls(order=order)
+    def derivative(cls) -> "DeltaOperator":
+        return cls()
 
     @classmethod
-    def continuous(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
+    def continuous(cls) -> "DeltaOperator":
         """The plain derivative, under the name the solvers' time models use."""
-        return cls.derivative(order)
+        return cls.derivative()
 
     @classmethod
-    def central_difference(cls, tau: float, order: int = DEFAULT_ORDER) -> "DeltaOperator":
+    def central_difference(cls, tau: float) -> "DeltaOperator":
         """L(s) = (2/tau) sinh(tau s / 2)."""
-        return cls(tau=float(tau), order=order)
+        return cls(tau=float(tau))
 
     @classmethod
     def from_series(cls, series: PowerSeries) -> "DeltaOperator":
@@ -292,18 +292,17 @@ class DeltaOperator:
                 raise ValueError("a custom delta series has no step tau")
             if cs[0] != 0 or len(cs) < 2 or cs[1] == 0:
                 raise ValueError("delta operator requires b_0 = 0 and b_1 != 0")
-            object.__setattr__(self, "order", self.custom.order)
 
     @cached_property
     def series(self) -> PowerSeries:
-        """The exact delta series, built on first use."""
+        """The exact delta series, built on first use: to ``DEFAULT_ORDER`` for the built-ins."""
         if self.custom is not None:
             return self.custom
         if self.tau is None:
-            return PowerSeries.identity(self.order)
+            return PowerSeries.identity(DEFAULT_ORDER)
         # exponential coefficient of (2/tau) * (tau/2)^k s^k / k! at odd k
         half = Fraction(self.tau) / 2
-        return PowerSeries(tuple(half ** (k - 1) if k % 2 else _F0 for k in range(self.order)))
+        return PowerSeries(tuple(half ** (k - 1) if k % 2 else _F0 for k in range(DEFAULT_ORDER)))
 
     @cached_property
     def inverse(self) -> PowerSeries:
@@ -337,7 +336,7 @@ class DeltaOperator:
         p = _poly(p)
         out = [_F0] * len(p)
         cur = p
-        for k in range(1, self.order):
+        for k in range(1, self.series.order):
             cur = poly_derivative(cur)
             bk = self.series.coeffs[k]
             if bk:
@@ -396,9 +395,9 @@ def basic_sequence(op: DeltaOperator, count: int | None = None) -> list[tuple[Fr
     m_0 = 1, m_k(0) = 0, and L_t m_k = k m_{k-1}, all exact in rational
     arithmetic (so the normalized m_k/k! are lowered with unit coefficient).
     """
-    K = op.order if count is None else int(count)
-    if K > op.order:
-        raise ValueError(f"requested {K} polynomials but series order is {op.order}")
+    K = op.series.order if count is None else int(count)
+    if K > op.series.order:
+        raise ValueError(f"requested {K} polynomials but series order is {op.series.order}")
     Mo = list(op.inverse.ordinary())[:K] + [_F0] * max(0, K - op.inverse.order)
     # accumulate exp(t M(s)) = sum_j t^j M(s)^j / j!  by powers of M
     polys = [[_F0] * K for _ in range(K)]  # polys[k][j] = coeff of t^j in m_k / k!
@@ -496,6 +495,8 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float, allow_u
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("frequencies must be nonnegative")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("frequencies must be finite")
     t = float(t)
     if op.custom is not None:
         # a custom series: its inverse symbol u over the whole array, in the continuous formulas

@@ -80,7 +80,14 @@ def test_criterion_12_special_functions(criterion):
         selftest.check_special_functions()
 
 
-def test_criterion_13_cli_end_to_end(criterion, tmp_path):
+def golden_runs() -> list[tuple[str, list[str]]]:
+    """(golden directory, CLI arguments without --out) per line of golden_runs.txt."""
+    lines = (FIXTURES / "golden_runs.txt").read_text().splitlines()
+    rows = [line.split() for line in lines if line.strip() and not line.startswith("#")]
+    return [(row[0], row[1:]) for row in rows]
+
+
+def test_criterion_13_cli_end_to_end(criterion, tmp_path, monkeypatch):
     with criterion(13, "command line reproduces committed runs"):
         res = subprocess.run(
             [sys.executable, "-m", "latticewave.cli", "selftest"],
@@ -93,15 +100,9 @@ def test_criterion_13_cli_end_to_end(criterion, tmp_path):
         assert "FAIL" not in res.stdout
         assert res.stderr == ""  # a passing selftest is quiet: no stray RuntimeWarning
 
-        runs = [
-            ("dirac", ["evolve", "--config", str(FIXTURES / "dirac.cfg")]),
-            ("dirac2d", ["evolve", "--config", str(FIXTURES / "dirac2d.cfg")]),
-            ("kg3d", ["evolve", "--config", str(FIXTURES / "kg3d.cfg")]),
-            ("kg2d_continuous", ["evolve", "--config", str(FIXTURES / "kg2d_continuous.cfg")]),
-            ("dirac2d_continuous", ["evolve", "--config", str(FIXTURES / "dirac2d_continuous.cfg")]),
-            ("heat_kernel", ["kernel", "--kind", "heat", "--config", str(FIXTURES / "heat_kernel.cfg")]),
-            ("spectrum", ["spectrum", "--config", str(FIXTURES / "spectrum.cfg")]),
-        ]
+        runs = golden_runs()
+        assert sorted(name for name, _ in runs) == sorted(p.name for p in (FIXTURES / "golden").iterdir())
+        monkeypatch.chdir(FIXTURES.parent.parent)  # the list's config paths are relative to the repo root
         for name, argv in runs:
             out = tmp_path / name
             assert main(argv + ["--out", str(out)]) == 0

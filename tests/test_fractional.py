@@ -275,12 +275,6 @@ def test_frac_params_reject_non_finite_mass(m):
         FracParams(0.25, m)
 
 
-@pytest.mark.parametrize("t_max", [math.inf, math.nan])
-def test_frac_params_reject_non_finite_t_max(t_max):
-    with pytest.raises(ValueError, match="t_max must be positive and finite"):
-        FracParams(0.25, 1.0, t_max=t_max)
-
-
 def test_mittag_leffler_classical_identities():
     for z in (0.5, -2.0, 3.0j, 1.0 - 1.0j):
         assert abs(mittag_leffler(1.0, 1.0, z) - np.exp(z)) <= 1e-13 * abs(np.exp(z))
@@ -314,14 +308,6 @@ def test_frac_params_validation():
             FracParams(alpha, 1.0)
     with pytest.raises(ValueError):
         FracParams(0.25, 0.0)
-    with pytest.raises(ValueError):
-        FracParams(0.25, 1.0, nodes=5)
-    with pytest.raises(ValueError):
-        FracParams(0.25, 1.0, t_max=-1.0)
-    with pytest.raises(ValueError):
-        FracParams(0.25, 1.0, head_tol=0.0)
-    assert FracParams(0.25, 2.0).upper_cutoff() == pytest.approx(10.0)
-    assert FracParams(0.25, 2.0, t_max=3.0).upper_cutoff() == 3.0
 
 
 def test_frac_power_spectral_plane_wave_eigenvalue():
@@ -359,6 +345,13 @@ def test_subordination_quadrature_2d(rng):
     assert relative_gap(got, want) <= 1e-6
 
 
+def test_empty_quadrature_window_names_mass_and_alpha():
+    # a mass this large puts the head bound t0 past the cutoff 40/m^2
+    f = LatticeField.delta(_grid1())
+    with pytest.raises(ValueError, match=r"quadrature window is empty at m = 1e\+16, alpha = 0.45"):
+        frac_power(f, FracParams(0.45, 1e16), "subordination")
+
+
 def test_riesz_round_trips(rng):
     grid = _grid1()
     f = random_field(grid, rng)
@@ -388,10 +381,8 @@ def test_fractional_route_reproduces_plain_solver(rng, make_tm, t):
     data = CauchyData(random_field(grid, rng), random_field(grid, rng))
     p = FracParams(0.25, 1.0)
     want = solve_kg(data, tm, p.m, t)
-    got = solve_kg_fractional(data, tm, p, t, mode="spectral")
+    got = solve_kg_fractional(data, tm, p, t)
     assert relative_gap(got, want) <= 1e-9
-    got_sub = solve_kg_fractional(data, tm, p, t, mode="subordination")
-    assert relative_gap(got_sub, want) <= 1e-6
 
 
 def test_fractional_kernels_at_zero(rng):

@@ -153,24 +153,6 @@ def test_dirac_kahler_symmetric_for_pairing(rng):
     assert (a - b).norm() / max(a.norm(), 1e-300) <= 1e-13
 
 
-def test_dirac_kahler_coarse_step(rng):
-    g = GridSpec((12,), 0.5)
-    f = random_field(g, rng)
-    coarse = dirac_kahler(f, eps=1.0)  # 2h stencil
-    assert norm(coarse) > 0
-    with pytest.raises(ValueError):
-        dirac_kahler(f, eps=0.75)
-
-
-@pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
-def test_dirac_kahler_rejects_non_finite_eps(eps):
-    # eps = inf used to raise OverflowError, eps = nan a bare integer-conversion error
-    f = LatticeField.delta(GridSpec((8,), 0.5))
-    for op in (dirac_kahler, dirac_kahler_dagger):
-        with pytest.raises(ValueError, match="eps"):
-            op(f, eps=eps)
-
-
 def test_inner_product_conjugate_symmetry(rng):
     g = GridSpec((8,), 1.0)
     f, w = random_field(g, rng), random_field(g, rng)

@@ -42,6 +42,7 @@ from latticewave import (
     wave_kernels,
 )
 from latticewave.clifford import mul_arrays, pseudoscalar
+from latticewave.fractional import SUBORDINATION_DECAY, SUBORDINATION_HEAD_TOL, SUBORDINATION_NODES
 from latticewave.lattice import discrete_laplacian, norm, relative_gap
 from latticewave.propagators import continuous_dirac_residual, continuous_kg_residual, lambda_field, lambda_max
 from latticewave.spectral import SpectralField, apply_multiplier, d2_field, dft, idft, z_field
@@ -104,9 +105,9 @@ def _subordination_window(f, p):
     alpha, m = p.alpha, p.m
     gamma_a = math.gamma(alpha)
     lam4 = lambda_max(f.grid, m) ** 4
-    t0 = (p.head_tol * 2.0 * (2.0 + alpha) * gamma_a / lam4) ** (1.0 / (2.0 + alpha))
-    lo, hi = math.log(t0), math.log(p.upper_cutoff())
-    return gamma_a, t0, lo, hi, np.linspace(lo, hi, int(p.nodes))
+    t0 = (SUBORDINATION_HEAD_TOL * 2.0 * (2.0 + alpha) * gamma_a / lam4) ** (1.0 / (2.0 + alpha))
+    lo, hi = math.log(t0), math.log(SUBORDINATION_DECAY / m**2)
+    return gamma_a, t0, lo, hi, np.linspace(lo, hi, SUBORDINATION_NODES)
 
 
 def _subordination_head(f, p, t0):

@@ -132,7 +132,7 @@ ROWS = [
         lambda x: spectral.convolve_direct(x.f, x.g),
         path=(spectral.dft, spectral.idft, clifford.mul_columns),
         never=(spectral.convolve, spectral.dft, spectral.idft, spectral._transform, spectral.reflect, np.fft),
-        shared={clifford._product: "the pointwise geometric product; "
+        shared={clifford.mul_columns: "the pointwise geometric product; "
                 "criterion 1 checks it against the algebra relations"},
     ),
     Row(

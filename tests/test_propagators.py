@@ -22,6 +22,7 @@ from latticewave import (
     dirac_data,
     dirac_residual,
     kg_residual,
+    lambda_field,
     lambda_max,
     leapfrog_march,
     multiplier_d2,
@@ -34,6 +35,7 @@ from latticewave import (
     wave_kernels,
     wave_symbols,
 )
+from latticewave import propagators
 from latticewave.lattice import norm
 
 
@@ -87,6 +89,40 @@ def test_chebyshev_solve_rejects_non_finite_tau_and_time(t, rng):
         chebyshev_solve(data, 0.5, 1.0, t)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         chebyshev_solve(data, t, 1.0, 0.5)
+
+
+def _no_transform(*args, **kwargs):
+    raise AssertionError("a transform ran before the mass check")
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_mass_is_rejected_before_any_transform(m, rng, monkeypatch):
+    # a NaN mass used to give an all-NaN field, and an infinite one numpy's invalid-value warning
+    grid = _grid1(N=8)
+    f = random_field(grid, rng)
+    data = CauchyData(f, f)
+    time = TimeModel.continuous()
+    monkeypatch.setattr(propagators, "dft", _no_transform)
+    for call in (
+        lambda: lambda_field(grid, m),
+        lambda: lambda_max(grid, m),
+        lambda: wave_symbols(grid, time, m, 1.0),
+        lambda: solve_kg(data, time, m, 1.0),
+        lambda: solve_dirac(f, time, 0.25, m, 1.0),
+        lambda: Propagator(data, m),
+        lambda: Propagator.dirac(f, 0.25, m),
+        lambda: continuous_kg_residual(data, m, 1.0),
+        lambda: continuous_dirac_residual(f, 0.25, m, 1.0),
+    ):
+        with pytest.raises(ValueError, match="mass m must be finite"):
+            call()
+
+
+def test_negative_mass_stays_allowed(rng):
+    f = random_field(_grid1(N=8), rng)
+    time = TimeModel.continuous()
+    plus, minus = (solve_dirac(f, time, 0.25, m, 0.5) for m in (1.0, -1.0))
+    assert relative_gap(minus, plus) > 1e-3  # the sign of -m gamma reaches the Dirac flow
 
 
 def test_validate_time_half_step_grid():
@@ -232,6 +268,27 @@ def test_leapfrog_rejects_negative_steps():
     z = LatticeField.zeros(grid)
     with pytest.raises(ValueError):
         leapfrog_march(z, z, 1.0, 0.5, -1)
+
+
+@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf])
+def test_leapfrog_rejects_non_integer_steps(steps):
+    # 2.5 used to escape as a TypeError from range
+    z = LatticeField.zeros(_grid1(N=8))
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        leapfrog_march(z, z, 1.0, 0.5, steps)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_residual_twins_reject_a_bad_step(tau, rng):
+    # tau = 0 used to raise a bare ZeroDivisionError, and tau = nan to return NaN
+    f = random_field(_grid1(N=8), rng)
+    for call in (
+        lambda: kg_residual(f, f, f, 1.0, tau),
+        lambda: dirac_residual(f, f, f, 0.25, 1.0, tau),
+        lambda: leapfrog_march(f, f, 1.0, tau, 2),
+    ):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            call()
 
 
 # -- stability ---------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_multiplier_d2_closed_form():
 def test_multiplier_z_square_condition_pointwise(alpha):
     sig = pseudoscalar(GridSpec((4, 4), 1.0).sig).sig
     for xi in ((0.3, -0.8), (1.1, 2.2), (math.pi, math.pi)):
-        z = multiplier_z(xi, alpha, 1.0, sig)
+        z = multiplier_z(xi, alpha, 1.0)
         d2 = multiplier_d2(xi, 1.0)
         err = (z * z - Multivector.scalar(sig, complex(d2))).norm()
         assert err <= 1e-12
@@ -160,7 +160,7 @@ def test_z_field_agrees_with_pointwise():
     z = z_field(g, 0.25)
     xs = frequencies(6, 0.8)
     for b in range(6):
-        zp = multiplier_z((float(xs[b]),), 0.25, 0.8, g.sig)
+        zp = multiplier_z((float(xs[b]),), 0.25, 0.8)
         assert np.max(np.abs(z[b] - zp.coeffs)) <= 1e-14
 
 

@@ -54,7 +54,7 @@ def _ref_spectrum(dim, points, spacing, alphas, outdir, config_text, tolerance=N
                 for point in np.ndindex(*(len(ax) for ax in axes)):
                     xi = tuple(float(ax[i]) for ax, i in zip(axes, point))
                     d2 = float(multiplier_d2(xi, h))
-                    z = multiplier_z(xi, alpha, h, sig)
+                    z = multiplier_z(xi, alpha, h)
                     z_norm = z.norm()
                     vel, mas = _component_norms(z, dim)
                     err = (z * z - Multivector.scalar(sig, complex(d2))).norm()
@@ -66,7 +66,7 @@ def _ref_spectrum(dim, points, spacing, alphas, outdir, config_text, tolerance=N
                         min_d2 = min(min_d2, d2)
                         min_z = min(min_z, z_norm)
                     max_err = max(max_err, err)
-                _, edge_mass = _component_norms(multiplier_z(edge, alpha, h, sig), dim)
+                _, edge_mass = _component_norms(multiplier_z(edge, alpha, h), dim)
                 summary[f"{zone_name}:alpha={alpha!r}"] = {
                     "min_d2_nonzero": float(min_d2),
                     "min_z_norm_nonzero": float(min_z),

@@ -230,7 +230,7 @@ def test_built_in_operators_build_their_series_on_demand():
 
 def _omegas():
     sig = Signature(1)
-    z = multiplier_z((0.8,), 0.25, 1.0, sig)
+    z = multiplier_z((0.8,), 0.25, 1.0)
     zm = z - pseudoscalar(sig) * 1.0
     lam = math.sqrt(abs((zm * zm).coeffs[0]))
     return [Multivector.generator(sig, 2), pseudoscalar(sig), zm * (1.0 / lam)]
@@ -279,6 +279,15 @@ def test_egf_rejects_nilpotent_direction():
 
 
 # -- wave multipliers -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("op", [DeltaOperator.derivative(), DeltaOperator.central_difference(0.5)],
+                         ids=["continuous", "central"])
+def test_multipliers_reject_non_finite_frequencies(op, lam):
+    # a NaN frequency used to give (nan, nan), and inf numpy's invalid-value warning
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        wave_multipliers(op, lam, 1.0)
 
 
 def test_continuous_multipliers_are_trig():
