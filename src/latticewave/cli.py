@@ -299,9 +299,9 @@ def _write_json(path: str, payload: dict) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _worst(residuals: dict[str, dict[str, float]], exclude: tuple[str, ...] = ("richardson_order",)):
-    """Largest residual, or the first non-finite one; None if there are none."""
-    values = [v for kind, per_time in residuals.items() if kind not in exclude for v in per_time.values()]
+def _worst(residuals: dict[str, dict[str, float]]):
+    """Largest residual, or the first non-finite one; None if there are none.  Richardson orders are not residuals."""
+    values = [v for kind, per_time in residuals.items() if kind != "richardson_order" for v in per_time.values()]
     for v in values:
         if not math.isfinite(v):
             return v
@@ -655,10 +655,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CflViolationError as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (CflViolationError, ValueError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
 

@@ -181,15 +181,18 @@ def dagger_arrays(n: int, arr: np.ndarray) -> np.ndarray:
 
 
 def blade_mask(sig: Signature, indices: Iterable[int]) -> int:
-    """Bit mask of a canonical blade given distinct generator indices (1-based)."""
-    mask = 0
+    """Bit mask of a canonical blade given ascending generator indices (1-based): e2 e1 = -e1 e2 is refused."""
+    mask = prev = 0
     for j in indices:
         if not (1 <= j <= sig.generators):
             raise ValueError(f"generator index {j} outside 1..{sig.generators}")
         bit = 1 << (j - 1)
         if mask & bit:
             raise ValueError(f"repeated generator index {j}")
+        if j < prev:
+            raise ValueError(f"generator index {j} follows {prev}; blade indices must ascend")
         mask |= bit
+        prev = j
     return mask
 
 

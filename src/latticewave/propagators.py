@@ -223,7 +223,7 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     the larger of the two sides' norms; zero fields give zero.
     """
     quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / _positive_step(tau) ** 2)
-    rhs = discrete_laplacian(psi_mid) - (float(m) ** 2) * psi_mid
+    rhs = discrete_laplacian(psi_mid) - (_finite_mass(m) ** 2) * psi_mid
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
         return 0.0
@@ -316,6 +316,7 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
     quot = (psi_plus - psi_minus) * (1.0 / _positive_step(tau))
+    m = _finite_mass(m)
     rhs = _dirac_velocity(dft(psi_mid), alpha, m)
     scale = max(norm(quot), norm(rhs))
     if scale == 0.0:
@@ -386,7 +387,7 @@ def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> Lattice
     k = round(kf)
     if abs(kf - k) > 1e-9 * max(1.0, abs(kf)) or k < 0:
         raise ValueError(f"2t/tau must be a nonnegative integer, got {kf}")
-    lam2 = d2_field(data.grid) + float(m) ** 2
+    lam2 = d2_field(data.grid) + _finite_mass(m) ** 2
     arg = 1.0 - tau**2 / 4.0 * lam2
     if np.any(arg < 0.0):
         raise CflViolationError(float(np.sqrt(lam2.max())), 2.0 / tau)
@@ -413,7 +414,7 @@ def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     tau = _positive_step(tau)
-    m2 = float(m) ** 2
+    m2 = _finite_mass(m) ** 2
     prev, cur = psi_prev, psi_cur
     for _ in range(int(steps)):
         nxt = 2.0 * cur - prev + tau**2 * (discrete_laplacian(cur) - m2 * cur)

@@ -19,10 +19,13 @@ M is odd (true for both built-in operators).
 
 The wave multipliers c = cosh(t M(i lambda)) and s = sinh(t M(i lambda)) /
 (i lambda) are the spectral coefficients of the second-order evolution
-solvers.  For the central-difference operator they are real only under the
-stability bound tau*lambda/2 <= 1; beyond it evaluation continues
-analytically (exponentially growing, complex on half-integer steps) and
-must be requested explicitly.
+solvers.  Both read one phase, phi = t theta(lambda) with M(i lambda) =
+i theta(lambda): c = cos phi and s = sin phi / lambda, and the inverse
+symbol is M(w) = i theta(-i w).  The phase is t lambda for the derivative
+and (2t/tau) asin(tau lambda/2) for the central difference, which is real
+only under the stability bound tau*lambda/2 <= 1; beyond it evaluation
+continues analytically (exponentially growing, complex on half-integer
+steps) and must be requested explicitly.
 
 ``DeltaOperator`` is the one time-axis class: the solvers take it as their
 time model (``propagators.TimeModel``), and it owns its time lattice, its
@@ -127,10 +130,6 @@ class PowerSeries:
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         K = min(self.order, other.order)
         return PowerSeries(tuple(a - b for a, b in zip(self.coeffs[:K], other.coeffs[:K])))
-
-    def scale(self, factor) -> "PowerSeries":
-        f = Fraction(factor)
-        return PowerSeries(tuple(f * c for c in self.coeffs))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         K = min(self.order, other.order)
@@ -347,13 +346,26 @@ class DeltaOperator:
                 break
         return _poly(out)
 
-    def inverse_symbol(self, w: complex) -> complex:
-        """L^{-1} evaluated at a point: principal branches for built-ins, the multipliers' Newton path else."""
+    def phase(self, lam: np.ndarray, t: float, allow_unstable: bool = False) -> np.ndarray:
+        """phi = t theta(lam), where M(i lam) = i theta(lam): the wave multipliers are cos phi and sin phi / lam.
+
+        Real frequencies past a central difference's CFL bound raise unless
+        allow_unstable is set; complex ones pass unguarded.
+        """
         if self.custom is not None:
-            return complex(self._custom_inverse(np.asarray([w], dtype=complex))[0])
+            return -1j * (t * self._custom_inverse(1j * lam))
         if self.tau is None:
-            return complex(w)
-        return 2.0 / self.tau * cmath.asinh(self.tau * w / 2.0)
+            return t * lam
+        return _central_phase(self.tau, lam, t, allow_unstable)
+
+    @property
+    def inverse_slope(self) -> float | complex:
+        """M'(0), the sine multiplier's value t M'(0) at lam = 0: 1 for the built-ins, which build no series."""
+        return 1.0 if self.custom is None else complex(self.inverse.coeffs[1])
+
+    def inverse_symbol(self, w: complex) -> complex:
+        """L^{-1}(w) = i theta(-i w) through the wave multipliers' phase, whose branch it takes past the CFL bound."""
+        return complex(1j * self.phase(np.asarray([-1j * complex(w)]), 1.0)[0])
 
     def _custom_inverse(self, w: np.ndarray) -> np.ndarray:
         """M(w) of a custom series: Newton's method on the truncated L(u) = w, from the truncated M(w).
@@ -469,10 +481,15 @@ def egf_series_eval(op: DeltaOperator, s: Multivector, t: float, count: int | No
 # -- wave multipliers ----------------------------------------------------------
 
 
-def _central_s_series(t: float, k: float, u: np.ndarray) -> np.ndarray:
-    # sin(k asin u)/lambda expanded around u = 0 (valid while k*u is small)
-    u2 = u * u
-    return t * (1.0 + u2 * (1.0 - k * k) / 6.0 + u2 * u2 * (3.0 / 40.0 - k * k / 12.0 + k**4 / 120.0))
+def _central_phase(tau: float, lam: np.ndarray, t: float, allow_unstable: bool) -> np.ndarray:
+    """(2t/tau) asin(tau lam/2); past the CFL bound through the complex arcsin, which grows."""
+    u = tau * lam / 2.0
+    k = 2.0 * t / tau
+    if not np.iscomplexobj(u) and np.any(u > 1.0):
+        if not allow_unstable:
+            raise CflViolationError(float(lam.max()), 2.0 / tau)
+        u = u.astype(complex)
+    return k * np.arcsin(u)
 
 
 def wave_multipliers(op: DeltaOperator, lam: float, t: float, allow_unstable: bool = False):
@@ -498,34 +515,6 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float, allow_u
     if not np.all(np.isfinite(lam)):
         raise ValueError("frequencies must be finite")
     t = float(t)
-    if op.custom is not None:
-        # a custom series: its inverse symbol u over the whole array, in the continuous formulas
-        u = op._custom_inverse(1j * lam)
-        safe = np.where(lam == 0.0, 1.0, lam)
-        c = np.cosh(t * u)
-        s = np.where(lam == 0.0, t * complex(op.inverse.coeffs[1]), np.sinh(t * u) / (1j * safe))
-        return c, s
-    if op.tau is None:
-        c = np.cos(t * lam)
-        safe = np.where(lam == 0.0, 1.0, lam)
-        s = np.where(lam == 0.0, t, np.sin(t * lam) / safe)
-        return c, s
-    tau = op.tau
-    u = tau * lam / 2.0
-    k = 2.0 * t / tau
-    if np.any(u > 1.0):
-        if not allow_unstable:
-            raise CflViolationError(float(lam.max()), 2.0 / tau)
-        theta = np.arcsin(u.astype(complex))
-        safe = np.where(lam == 0.0, 1.0, lam).astype(complex)
-        c = np.cos(k * theta)
-        s = np.where(lam == 0.0, complex(t), np.sin(k * theta) / safe)
-        return c, s
-    theta = np.arcsin(u)
-    c = np.cos(k * theta)
+    phi = op.phase(lam, t, allow_unstable)
     safe = np.where(lam == 0.0, 1.0, lam)
-    direct = np.sin(k * theta) / safe
-    series = _central_s_series(t, k, u)
-    small = (u < 1e-4) & (np.abs(k) * u < 1e-2)
-    s = np.where(lam == 0.0, t, np.where(small, series, direct))
-    return c, s
+    return np.cos(phi), np.where(lam == 0.0, t * op.inverse_slope, np.sin(phi) / safe)

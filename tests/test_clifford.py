@@ -78,6 +78,8 @@ def test_blade_mask_round_trip():
         blade_mask(sig, [1, 1])
     with pytest.raises(ValueError):
         blade_mask(sig, [7])
+    with pytest.raises(ValueError, match="generator index 1 follows 2"):
+        Multivector.blade(sig, [2, 1])  # e2 e1 = -e1 e2: the mask of e1 e2 alone would drop that sign
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -200,9 +200,10 @@ def test_repeated_row_keeps_its_last_value(tmp_path, chunk):
 
 def test_other_spellings_of_a_blade(tmp_path, chunk):
     # labels outside the canonical table but valid to the previous reader
-    text = HEAD + "0,2·1,1.0,0.0\n1, 1,2.0,0.0\n2,01,3.0,0.0\n3,1·2,4.0,0.0\n"
+    text = HEAD + "1, 1,2.0,0.0\n2,01,3.0,0.0\n3,1·2,4.0,0.0\n"
     got = _assert_same(_write(tmp_path, "f.csv", text))
-    assert list(got.values[:, 3]) == [1.0, 0.0, 0.0, 4.0]
+    assert list(got.values[:, 1]) == [0.0, 2.0, 3.0, 0.0]
+    assert list(got.values[:, 3]) == [0.0, 0.0, 0.0, 4.0]
 
 
 def test_a_large_file_loads_the_same(tmp_path, rng):
@@ -234,6 +235,7 @@ GOOD = "0,,1.0,0.0\n1,1,2.0,0.0\n"
         ("1,x,1.0,0.0", r"bad blade label 'x'"),
         ("1,1·2·1·2·1·2,1.0,0.0", r"bad blade label '1·2·1·2·1·2': repeated generator index 1"),
         ("1,1·1,1.0,0.0", r"bad blade label '1·1': repeated generator index 1"),
+        ("0,2·1,1.0,0.0", r"bad blade label '2·1': generator index 1 follows 2; blade indices must ascend"),
         ("1,1#,1.0,0.0", r"bad blade label '1#': invalid literal for int\(\) with base 10: '1#'"),
         ("1,#,1.0,0.0", r"bad blade label '#': invalid literal for int\(\) with base 10: '#'"),
     ],

@@ -117,8 +117,8 @@ ROWS = [
         "kg-custom-series",
         _solve_kg,
         lambda x: propagators.solve_kg(x.data, umbral.DeltaOperator.from_series(x.time.series), x.m, 3 * TAU),
-        path=KG_PATH + (umbral._central_s_series,),
-        never=(umbral._central_s_series,),
+        path=KG_PATH + (umbral._central_phase,),
+        never=(umbral._central_phase,),
         shared={
             propagators._combine: "the solver route, which kg-leapfrog and kg-chebyshev check, so this row "
             "checks the multipliers",
@@ -283,7 +283,7 @@ def _series_through_the_closed_form(series):
 
 
 PLANTED = [
-    ("kg-custom-series", umbral.DeltaOperator, "from_series", _series_through_the_closed_form, "_central_s_series"),
+    ("kg-custom-series", umbral.DeltaOperator, "from_series", _series_through_the_closed_form, "_central_phase"),
     ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
     ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),

@@ -118,6 +118,21 @@ def test_non_finite_mass_is_rejected_before_any_transform(m, rng, monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_the_twins_refuse_a_non_finite_mass(m, rng, monkeypatch):
+    # a NaN mass used to give residuals of 0.0 (max drops a NaN in second place) and all-NaN marches
+    f = random_field(_grid1(N=8), rng)
+    monkeypatch.setattr(propagators, "dft", _no_transform)
+    for call in (
+        lambda: kg_residual(f, f, f, m, 0.5),
+        lambda: dirac_residual(f, f, f, 0.25, m, 0.5),
+        lambda: chebyshev_solve(CauchyData(f, f), 0.5, m, 1.0),
+        lambda: leapfrog_march(f, f, m, 0.5, 2),
+    ):
+        with pytest.raises(ValueError, match="mass m must be finite"):
+            call()
+
+
 def test_negative_mass_stays_allowed(rng):
     f = random_field(_grid1(N=8), rng)
     time = TimeModel.continuous()

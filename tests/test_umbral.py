@@ -324,7 +324,7 @@ def test_central_multipliers_satisfy_leapfrog_recurrence():
 
 
 def test_multipliers_pythagorean_identity_through_series_branch():
-    # c^2 + lam^2 s^2 = 1 must survive the tiny-lambda series path
+    # c^2 + lam^2 s^2 = 1 must survive tiny lambda, where sin(phi)/lam divides two small numbers
     tau = 0.5
     op = DeltaOperator.central_difference(tau)
     lam = np.concatenate([[0.0], np.logspace(-9, 0.5, 25)])
@@ -332,6 +332,40 @@ def test_multipliers_pythagorean_identity_through_series_branch():
         c, s = wave_multiplier_arrays(op, lam, t)
         assert np.max(np.abs(c**2 + lam**2 * s**2 - 1.0)) <= 1e-12
         assert s[0] == pytest.approx(t, rel=1e-12)  # lam = 0 limit
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.3, 0.1])
+def test_multipliers_are_the_closed_forms_bit_for_bit(tau):
+    # the goldens use tau = 0.5 only, where reordering 2t/tau or tau*lam/2 would not show
+    lam = np.geomspace(1.001e-4, 0.999, 2001) * 2.0 / tau  # tau*lam/2 in [1e-4, 0.999]
+    wide = lam * 3.0  # reaches past the bound 2/tau
+    central, derivative = DeltaOperator.central_difference(tau), DeltaOperator.derivative()
+    for j in (-7, -2, -1, 1, 3, 10):
+        t = j * tau / 2.0
+        k = 2.0 * t / tau
+        theta = np.arcsin(tau * lam / 2.0)
+        unstable = np.arcsin((tau * wide / 2.0).astype(complex))
+        for (c, s), (cw, sw) in (
+            (wave_multiplier_arrays(central, lam, t), (np.cos(k * theta), np.sin(k * theta) / lam)),
+            (wave_multiplier_arrays(derivative, lam, t), (np.cos(t * lam), np.sin(t * lam) / lam)),
+            (wave_multiplier_arrays(central, wide, t, allow_unstable=True),
+             (np.cos(k * unstable), np.sin(k * unstable) / wide)),
+        ):
+            assert c.dtype == cw.dtype and c.tobytes() == cw.tobytes()
+            assert s.dtype == sw.dtype and s.tobytes() == sw.tobytes()
+
+
+def test_inverse_symbol_continues_past_the_bound_like_the_multipliers():
+    # s = lam e1 squares to -lam^2, so the generating function reads M(i lam): the multipliers' branch
+    tau = 0.5
+    op = DeltaOperator.central_difference(tau)
+    sig = Signature(1)
+    e1 = Multivector.generator(sig, 1)
+    for lam in (5.0, 9.0):
+        for t in (0.75, 1.25, 2.0):
+            c, s = wave_multipliers(op, lam, t, allow_unstable=True)
+            want = Multivector.scalar(sig, c) + (e1 * lam) * s
+            assert (egf_eval(op, e1 * lam, t) - want).norm() <= 1e-12 * want.norm()
 
 
 def test_cfl_violation_raises_with_diagnostics():
