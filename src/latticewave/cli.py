@@ -364,7 +364,7 @@ class _Run:
         elif cfg["time_model"] == "continuous":
             time = TimeModel.continuous()
         else:
-            time = TimeModel.central_difference(cfg["tau"])
+            time = TimeModel.central_difference(cfg["tau"], allow_unstable=self.args.allow_unstable)
             for t in cfg["times"]:
                 try:
                     time.validate_time(t)
@@ -419,7 +419,6 @@ def cmd_evolve(args) -> int:
     phi0 = build_field(cfg, grid, "initial")
     time = run.time_model(grid, equation != "heat", "heat flow needs s >= 0")
 
-    unstable = args.allow_unstable
     data = frac = plan = None
     if equation in ("klein_gordon", "fractional_kg"):
         data = CauchyData(phi0, build_field(cfg, grid, "velocity"))
@@ -435,10 +434,10 @@ def cmd_evolve(args) -> int:
     # transforms the Cauchy data inside its first solve, and once per run:
     # the continuous-time checks read the same plan.
     solvers = {
-        "klein_gordon": lambda t: solve_kg(plan, time, m, t, allow_unstable=unstable),
-        "dirac": lambda t: solve_dirac(plan, time, grid.alpha, m, t, allow_unstable=unstable),
+        "klein_gordon": lambda t: solve_kg(plan, time, m, t),
+        "dirac": lambda t: solve_dirac(plan, time, grid.alpha, m, t),
         "heat": lambda t: heat_semigroup(phi0, t),
-        "fractional_kg": lambda t: solve_kg_fractional(data, time, frac, t, allow_unstable=unstable),
+        "fractional_kg": lambda t: solve_kg_fractional(data, time, frac, t),
     }
 
     def reads(t: float) -> tuple[float, ...]:
@@ -529,8 +528,7 @@ def cmd_kernel(args) -> int:
                 run.residuals.setdefault("heat_discrepancy", {})[repr(float(t))] = disc
             else:
                 # a kernel is the inverse transform of one multiplier of the pair: only that one is made
-                pair = (wave_symbols(grid, time, m, t, allow_unstable=args.allow_unstable) if frac is None
-                        else fractional_symbols(grid, time, frac, t, allow_unstable=args.allow_unstable))
+                pair = wave_symbols(grid, time, m, t) if frac is None else fractional_symbols(grid, time, frac, t)
                 store_field(scalar_kernel(grid, pair[kind.startswith("K1")]), path)
         return run.finish(_worst(run.residuals), kind=kind)
 

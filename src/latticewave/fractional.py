@@ -26,7 +26,7 @@ momentum grid and the field is transformed once.
 The Riesz-type operator (D - m gamma)(-Laplacian + m^2)^{-alpha} and its
 inverse share the exponent machinery, and the fractional kernel route
 rebuilds the ordinary Klein-Gordon solution with the alpha-powers
-cancelling spectrally.
+cancelling spectrally; P_t = c + i s (z - m gamma) is the Dirac flow.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import GridSpec, LatticeField, discrete_laplacian
-from .propagators import CauchyData, TimeModel, lambda_max, wave_symbols
-from .spectral import _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, multiply_field, scalar_kernel
+from .propagators import CauchyData, TimeModel, _convolve_pair, lambda_max, solve_dirac, wave_symbols
+from .spectral import _dirac_symbol, apply_multiplier, d2_field, multiply_field, scalar_kernel
 
 __all__ = [
     "FracParams",
@@ -360,46 +360,37 @@ def riesz_inverse(f: LatticeField, p: FracParams) -> LatticeField:
 # -- fractional Klein-Gordon ------------------------------------------------------
 
 
-def fractional_symbols(grid: GridSpec, time: TimeModel, p: FracParams, t: float, allow_unstable: bool = False):
+def fractional_symbols(grid: GridSpec, time: TimeModel, p: FracParams, t: float):
     """The wave-multiplier pair boosted by (d^2 + m^2)^{alpha}; see fractional_kernels."""
-    c, s = wave_symbols(grid, time, p.m, t, allow_unstable=allow_unstable)
+    c, s = wave_symbols(grid, time, p.m, t)
     boost = _power_multiplier(grid, p.m, p.alpha)
     return boost * c, boost * s
 
 
-def fractional_kernels(grid: GridSpec, time: TimeModel, p: FracParams, t: float, allow_unstable: bool = False):
+def fractional_kernels(grid: GridSpec, time: TimeModel, p: FracParams, t: float):
     """Kernels K0/K1 boosted by (d^2 + m^2)^{alpha}: inverse transforms of ``fractional_symbols``.
 
     Convolving them with alpha-damped data cancels the powers spectrally,
     so the fractional route reproduces the plain solver.
     """
-    c, s = fractional_symbols(grid, time, p, t, allow_unstable=allow_unstable)
+    c, s = fractional_symbols(grid, time, p, t)
     return scalar_kernel(grid, c), scalar_kernel(grid, s)
 
 
-def solve_kg_fractional(data: CauchyData, time: TimeModel, p: FracParams, t: float,
-                        allow_unstable: bool = False) -> LatticeField:
+def solve_kg_fractional(data: CauchyData, time: TimeModel, p: FracParams, t: float) -> LatticeField:
     """Klein-Gordon solution via fractional kernels and damped data.
 
     (2 pi)^(-n/2) [ K0a * (-Lap+m^2)^{-alpha} Phi0 + K1a * (-Lap+m^2)^{-alpha} Phi1 ],
     with the spectral damping.  Must agree with solve_kg.
     """
-    K0a, K1a = fractional_kernels(data.grid, time, p, t, allow_unstable=allow_unstable)
-    d0 = frac_power(data.phi0, p)
-    d1 = frac_power(data.phi1, p)
-    n = data.grid.n
-    return (2.0 * np.pi) ** (-n / 2.0) * (convolve(K0a, d0) + convolve(K1a, d1))
+    K0a, K1a = fractional_kernels(data.grid, time, p, t)
+    return _convolve_pair(K0a, K1a, frac_power(data.phi0, p), frac_power(data.phi1, p))
 
 
-def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float,
-                 allow_unstable: bool = False) -> LatticeField:
-    """One-parameter family P_t = c(lambda,t) + i s(lambda,t) (z - m gamma).
+def p_t_operator(phi: LatticeField, time: TimeModel, p: FracParams, t: float) -> LatticeField:
+    """One-parameter family P_t = c(lambda,t) + i s(lambda,t) (z - m gamma), the Dirac flow of phi.
 
     Its even part in t is the K0 propagation of phi and its odd part over i
     the first-order (Riesz-direction) term; at t = 0 it is the identity.
     """
-    zm = _dirac_symbol(phi.grid, p.alpha, p.m)
-    c, s = wave_symbols(phi.grid, time, p.m, t, allow_unstable=allow_unstable)
-    F = dft(phi)
-    P = apply_multiplier(F, c) + apply_multiplier(apply_multiplier(F, zm), 1j * s)
-    return idft(P, out=P.columns)
+    return solve_dirac(phi, time, p.alpha, p.m, t)

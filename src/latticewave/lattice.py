@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _check_alpha(alpha: float) -> None:
+    """The Dirac splitting parameter must lie in [0, 1/2]; NaN fails too."""
+    if not (0.0 <= alpha <= 0.5):
+        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic lattice: per-axis point counts, spacing, and model parameters.
@@ -76,8 +82,7 @@ class GridSpec:
             h2, hn = np.float64(self.h) ** 2, np.float64(self.h) ** len(shape)
             if not all(0.0 < q < np.inf for q in (h2, hn, 4.0 / h2, 1.0 / hn)):
                 raise ValueError(f"h={self.h!r} takes h**2, h**n or their inverses out of the finite nonzero floats")
-        if not (0.0 <= self.alpha <= 0.5):
-            raise ValueError(f"alpha must lie in [0, 1/2], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (0 <= self.mass < np.inf):
             raise ValueError(f"mass must be nonnegative and finite, got {self.mass}")
 

@@ -8,7 +8,8 @@ by the first-order symbol), and transformed back.
 
 with (c, s) the wave-multiplier pair of the chosen time model, a
 ``umbral.DeltaOperator`` (exported here as ``TimeModel``) that also owns
-its time lattice and CFL bound.  Only c and s depend on t.  A
+its time lattice, its CFL bound and whether to evaluate past it, so no
+solver takes a stability flag of its own.  Only c and s depend on t.  A
 ``Propagator`` is the plan of one run: it transforms the Cauchy data once,
 on its first slice, keeps F Phi0, F Phi1 and lambda, and then evaluates
 every slice with one multiplier pair, one combine and one inverse
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, align, discrete_laplacian, norm
+from .lattice import GridSpec, LatticeField, _check_alpha, align, discrete_laplacian, norm
 from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
 from .umbral import CflViolationError, DeltaOperator
 
@@ -112,9 +113,9 @@ def lambda_max(grid: GridSpec, m: float) -> float:
     return float(np.sqrt(4.0 * grid.n / grid.h**2 + _finite_mass(m) ** 2))
 
 
-def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
+def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float):
     """The wave-multiplier pair (c, s) at time t, sampled on the momentum grid."""
-    return time.multipliers(lambda_field(grid, m), t, allow_unstable=allow_unstable)
+    return time.multipliers(lambda_field(grid, m), t)
 
 
 def _combine(F0: SpectralField, F1: SpectralField, c: np.ndarray, s: np.ndarray, owned: bool) -> LatticeField:
@@ -131,11 +132,6 @@ def _combine(F0: SpectralField, F1: SpectralField, c: np.ndarray, s: np.ndarray,
     B = np.multiply(s[..., None], B, out=B if owned or B is not F1.columns else None)
     A += B
     return idft(SpectralField._of(F0.grid, support, A), out=A)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 <= alpha <= 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
 
 
 class Propagator:
@@ -168,52 +164,60 @@ class Propagator:
             raise ValueError(f"plan built for m={self.m}, alpha={self.alpha}; asked for m={m}, alpha={alpha}")
         return self
 
-    def at(self, time: TimeModel, t: float, allow_unstable: bool = False) -> LatticeField:
+    def at(self, time: TimeModel, t: float) -> LatticeField:
         """The slice Psi(t) of the planned flow under ``time``."""
         if self._spectra is None:
             F0 = dft(self._data.phi0)
             F1 = dft(self._data.phi1) if self.alpha is None else _velocity_spectrum(F0, self.alpha, self.m)
             self._spectra = (lambda_field(self.grid, self.m), F0, F1)
         lam, F0, F1 = self._spectra
-        c, s = time.multipliers(lam, t, allow_unstable=allow_unstable)
+        c, s = time.multipliers(lam, t)
         return _combine(F0, F1, c, s, owned=False)
 
 
-def solve_kg(data: CauchyData | Propagator, time: TimeModel, m: float, t: float,
-             allow_unstable: bool = False) -> LatticeField:
+def solve_kg(data: CauchyData | Propagator, time: TimeModel, m: float, t: float) -> LatticeField:
     """Klein-Gordon evolution: L_t^2 Psi = (Laplacian - m^2) Psi with data (Phi0, Phi1).
 
     ``data`` may be a ``Propagator`` of the same mass, which evaluates the
     slice from the transforms it keeps.
     """
     if isinstance(data, Propagator):
-        return data._checked(m).at(time, t, allow_unstable)
-    c, s = wave_symbols(data.grid, time, m, t, allow_unstable=allow_unstable)
+        return data._checked(m).at(time, t)
+    c, s = wave_symbols(data.grid, time, m, t)
     return _combine(dft(data.phi0), dft(data.phi1), c, s, owned=True)
 
 
-def wave_kernels(grid: GridSpec, time: TimeModel, m: float, t: float, allow_unstable: bool = False):
+def wave_kernels(grid: GridSpec, time: TimeModel, m: float, t: float):
     """Propagation kernels (K0, K1): inverse transforms of the multipliers ``wave_symbols``.
 
     K0 at t = 0 is the inverse transform of the constant 1; both kernels are
     real for real-even multipliers.  solve_kg_by_kernels shows the exact
     convolution recipe that rebuilds the solution from them.
     """
-    c, s = wave_symbols(grid, time, m, t, allow_unstable=allow_unstable)
+    c, s = wave_symbols(grid, time, m, t)
     return scalar_kernel(grid, c), scalar_kernel(grid, s)
 
 
-def solve_kg_by_kernels(data: CauchyData, time: TimeModel, m: float, t: float, allow_unstable: bool = False) -> LatticeField:
+def _convolve_pair(K0: LatticeField, K1: LatticeField, f0: LatticeField, f1: LatticeField) -> LatticeField:
+    """(2 pi)^(-n/2) [ K0 * f0 + K1 * f1 ]: the kernel routes' recipe, shared by the plain and fractional kernels."""
+    return (2.0 * np.pi) ** (-K0.grid.n / 2.0) * (convolve(K0, f0) + convolve(K1, f1))
+
+
+def solve_kg_by_kernels(data: CauchyData, time: TimeModel, m: float, t: float) -> LatticeField:
     """Kernel-convolution route to solve_kg (cross-validation path).
 
     (2 pi)^(-n/2) [ K0 * Phi0 + K1 * Phi1 ] with * the h^n-weighted discrete
     convolution; the prefactor undoes the grid convolution theorem's
     (2 pi)^(n/2).
     """
-    K0, K1 = wave_kernels(data.grid, time, m, t, allow_unstable=allow_unstable)
-    n = data.grid.n
-    out = convolve(K0, data.phi0) + convolve(K1, data.phi1)
-    return (2.0 * np.pi) ** (-n / 2.0) * out
+    K0, K1 = wave_kernels(data.grid, time, m, t)
+    return _convolve_pair(K0, K1, data.phi0, data.phi1)
+
+
+def _relative_residual(quot: LatticeField, rhs: LatticeField) -> float:
+    """norm(quot - rhs) over the larger of the two sides' norms; zero fields give zero."""
+    scale = max(norm(quot), norm(rhs))
+    return norm(quot - rhs) / scale if scale != 0.0 else 0.0
 
 
 def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: LatticeField, m: float, tau: float) -> float:
@@ -223,11 +227,7 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     the larger of the two sides' norms; zero fields give zero.
     """
     quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / _positive_step(tau) ** 2)
-    rhs = discrete_laplacian(psi_mid) - (_finite_mass(m) ** 2) * psi_mid
-    scale = max(norm(quot), norm(rhs))
-    if scale == 0.0:
-        return 0.0
-    return norm(quot - rhs) / scale
+    return _relative_residual(quot, discrete_laplacian(psi_mid) - (_finite_mass(m) ** 2) * psi_mid)
 
 
 def _richardson(plan: Propagator, t: float, psi: LatticeField | None, rhs_of, quotient):
@@ -294,8 +294,7 @@ def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
     return CauchyData(phi0, _dirac_velocity(dft(phi0), alpha, m))
 
 
-def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, m: float, t: float,
-                allow_unstable: bool = False) -> LatticeField:
+def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, m: float, t: float) -> LatticeField:
     """First-order evolution -i L_t Psi = (D - m gamma) Psi, Psi(0) = Phi0.
 
     Realized as the Klein-Gordon flow with the derived velocity Phi1 =
@@ -305,9 +304,9 @@ def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, 
     and mass.
     """
     if isinstance(phi0, Propagator):
-        return phi0._checked(m, alpha).at(time, t, allow_unstable)
+        return phi0._checked(m, alpha).at(time, t)
     _check_alpha(alpha)
-    c, s = wave_symbols(phi0.grid, time, m, t, allow_unstable=allow_unstable)
+    c, s = wave_symbols(phi0.grid, time, m, t)
     F0 = dft(phi0)
     return _combine(F0, _velocity_spectrum(F0, alpha, m), c, s, owned=True)
 
@@ -316,12 +315,8 @@ def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: Lat
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
     quot = (psi_plus - psi_minus) * (1.0 / _positive_step(tau))
-    m = _finite_mass(m)
-    rhs = _dirac_velocity(dft(psi_mid), alpha, m)
-    scale = max(norm(quot), norm(rhs))
-    if scale == 0.0:
-        return 0.0
-    return norm(quot - rhs) / scale
+    m = _finite_mass(m)  # before the transform
+    return _relative_residual(quot, _dirac_velocity(dft(psi_mid), alpha, m))
 
 
 def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: float, t: float,

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import Multivector, Signature, mul_arrays, mul_columns, pseudoscalar
-from .lattice import GridSpec, LatticeField, _CompactField, discrete_laplacian, norm
+from .lattice import GridSpec, LatticeField, _check_alpha, _CompactField, discrete_laplacian, norm
 
 __all__ = [
     "SpectralField",
@@ -306,8 +306,7 @@ def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
     stencil; for every alpha its square is minus the discrete Laplacian.
     """
     alpha = f.grid.alpha if alpha is None else alpha
-    if not (0.0 <= alpha <= 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
+    _check_alpha(alpha)
     return multiply_field(f, _z_symbol(f.grid, alpha))
 
 

@@ -25,13 +25,13 @@ symbol is M(w) = i theta(-i w).  The phase is t lambda for the derivative
 and (2t/tau) asin(tau lambda/2) for the central difference, which is real
 only under the stability bound tau*lambda/2 <= 1; beyond it evaluation
 continues analytically (exponentially growing, complex on half-integer
-steps) and must be requested explicitly.
+steps), requested by ``central_difference(tau, allow_unstable=True)``.
 
 ``DeltaOperator`` is the one time-axis class: the solvers take it as their
 time model (``propagators.TimeModel``), and it owns its time lattice, its
-CFL bound and its multipliers.  The built-in operators evaluate closed
-forms and build their exact series only when the polynomial tools ask, so
-a solver run never enters ``fractions``.  A custom series is evaluated over
+CFL bound, that stability policy and its multipliers.  The built-ins evaluate
+closed forms and build their exact series only when the polynomial tools
+ask, so a solver run never enters ``fractions``.  A custom series is evaluated over
 a whole array of frequencies by Newton's method on L(u) = i lambda, which
 covers the central-difference series' stable band up to tau*lambda/2 = 0.999.
 """
@@ -74,14 +74,14 @@ _F1 = Fraction(1)
 
 
 class CflViolationError(RuntimeError):
-    """Raised when tau*lambda/2 > 1 and unstable evaluation was not allowed."""
+    """Raised when tau*lambda/2 > 1 on a central difference that does not allow unstable evaluation."""
 
     def __init__(self, lam_max: float, bound: float):
         self.lam_max = lam_max
         self.bound = bound
         super().__init__(
             f"stability bound violated: max frequency {lam_max:.6g} exceeds 2/tau = {bound:.6g}; "
-            "pass allow_unstable to evaluate the growing branch anyway"
+            "pass --allow-unstable (CLI) or allow_unstable=True (time model) to evaluate the growing branch anyway"
         )
 
 
@@ -102,11 +102,8 @@ class PowerSeries:
         return len(self.coeffs)
 
     @classmethod
-    def from_exponential(cls, coeffs: Iterable, order: int | None = None) -> "PowerSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            cs = (cs + [_F0] * order)[:order]
-        return cls(tuple(cs))
+    def from_exponential(cls, coeffs: Iterable) -> "PowerSeries":
+        return cls(tuple(Fraction(c) for c in coeffs))
 
     @classmethod
     def from_ordinary(cls, coeffs: Iterable) -> "PowerSeries":
@@ -253,16 +250,18 @@ class DeltaOperator:
     ``derivative()`` (alias ``continuous()``) is the plain derivative and
     admits any real time.  ``central_difference(tau)`` is the symmetric
     quotient of step tau: it admits integer multiples of tau/2 (exact up to
-    1e-9 relative) and frequencies up to its CFL bound 2/tau.  Both have
-    closed-form symbols, and their exact series (of order ``DEFAULT_ORDER``)
-    and its inverse are built only when the exact polynomial tools ask for
-    them.  ``from_series(L)`` takes an explicit delta series, whose length
-    is its order, admits any real time, and evaluates its inverse symbol by
-    Newton's method under a round-trip guard.
+    1e-9 relative) and frequencies up to its CFL bound 2/tau, or past it if
+    built with ``allow_unstable=True``.  Both have closed-form symbols, and
+    their exact series (of order ``DEFAULT_ORDER``) and its inverse are built
+    only when the exact polynomial tools ask for them.  ``from_series(L)``
+    takes an explicit delta series, whose length is its order, admits any
+    real time, and evaluates its inverse symbol by Newton's method under a
+    round-trip guard.
     """
 
     tau: float | None = None  # the step of a central difference
     custom: PowerSeries | None = field(default=None, repr=False)
+    allow_unstable: bool = False  # a central difference evaluates past its CFL bound
 
     @classmethod
     def derivative(cls) -> "DeltaOperator":
@@ -274,9 +273,9 @@ class DeltaOperator:
         return cls.derivative()
 
     @classmethod
-    def central_difference(cls, tau: float) -> "DeltaOperator":
-        """L(s) = (2/tau) sinh(tau s / 2)."""
-        return cls(tau=float(tau))
+    def central_difference(cls, tau: float, allow_unstable: bool = False) -> "DeltaOperator":
+        """L(s) = (2/tau) sinh(tau s / 2); past the CFL bound it raises unless ``allow_unstable``."""
+        return cls(tau=float(tau), allow_unstable=bool(allow_unstable))
 
     @classmethod
     def from_series(cls, series: PowerSeries) -> "DeltaOperator":
@@ -322,9 +321,9 @@ class DeltaOperator:
         """Largest admissible frequency: 2/tau for central differences, else infinite."""
         return np.inf if self.tau is None else 2.0 / self.tau
 
-    def multipliers(self, lam: np.ndarray, t: float, allow_unstable: bool = False):
+    def multipliers(self, lam: np.ndarray, t: float):
         """The wave-multiplier pair (c, s) over the frequencies lam at an admissible time t."""
-        return wave_multiplier_arrays(self, lam, self.validate_time(t), allow_unstable=allow_unstable)
+        return wave_multiplier_arrays(self, lam, self.validate_time(t))
 
     def apply(self, p: Sequence) -> tuple[Fraction, ...]:
         """Apply L(d/dt) to a polynomial in t; exact, truncation-free.
@@ -346,17 +345,17 @@ class DeltaOperator:
                 break
         return _poly(out)
 
-    def phase(self, lam: np.ndarray, t: float, allow_unstable: bool = False) -> np.ndarray:
+    def phase(self, lam: np.ndarray, t: float) -> np.ndarray:
         """phi = t theta(lam), where M(i lam) = i theta(lam): the wave multipliers are cos phi and sin phi / lam.
 
         Real frequencies past a central difference's CFL bound raise unless
-        allow_unstable is set; complex ones pass unguarded.
+        the operator allows unstable evaluation; complex ones pass unguarded.
         """
         if self.custom is not None:
             return -1j * (t * self._custom_inverse(1j * lam))
         if self.tau is None:
             return t * lam
-        return _central_phase(self.tau, lam, t, allow_unstable)
+        return _central_phase(self.tau, lam, t, self.allow_unstable)
 
     @property
     def inverse_slope(self) -> float | complex:
@@ -451,12 +450,23 @@ def _split_square_root(s: Multivector) -> tuple[complex, Multivector]:
     return c, omega
 
 
+def _finite_egf_input(s: Multivector, t: float) -> float:
+    """The time t as a float, once s and t are finite: otherwise the sum is NaN or overflows."""
+    if not np.all(np.isfinite(s.coeffs)):
+        raise ValueError("generating-function argument s must have finite coefficients")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
+    return t
+
+
 def egf_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:
     """Closed-form generating function sum_k m_k(t) s^k / k!.
 
     The argument is factored as c*omega with omega**2 = +1; the value is
     cosh(t M(c)) + omega sinh(t M(c)).  s = 0 gives the scalar 1.
     """
+    t = _finite_egf_input(s, t)
     c, omega = _split_square_root(s)
     if c == 0.0:
         return Multivector.scalar(s.sig, 1.0)
@@ -466,15 +476,16 @@ def egf_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:
     return Multivector.scalar(s.sig, ch) + sh * omega
 
 
-def egf_series_eval(op: DeltaOperator, s: Multivector, t: float, count: int | None = None) -> Multivector:
+def egf_series_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:
     """Truncated-series reference for egf_eval: explicit sum of m_k(t) s^k / k!."""
-    polys = basic_sequence(op, count)
+    t = _finite_egf_input(s, t)
+    polys = basic_sequence(op)
     acc = Multivector.scalar(s.sig, 0.0)
     power = Multivector.scalar(s.sig, 1.0)
     for k, p in enumerate(polys):
         if k:
             power = power * s
-        acc = acc + complex(poly_eval(p, float(t))) / math.factorial(k) * power
+        acc = acc + complex(poly_eval(p, t)) / math.factorial(k) * power
     return acc
 
 
@@ -492,22 +503,22 @@ def _central_phase(tau: float, lam: np.ndarray, t: float, allow_unstable: bool) 
     return k * np.arcsin(u)
 
 
-def wave_multipliers(op: DeltaOperator, lam: float, t: float, allow_unstable: bool = False):
+def wave_multipliers(op: DeltaOperator, lam: float, t: float):
     """Scalar propagator pair (c, s) = (cosh(t M(i lam)), sinh(t M(i lam))/(i lam)).
 
     Real for the built-in kinds under the central-difference stability bound
-    tau*lam/2 <= 1; beyond the bound a CflViolationError is raised unless
-    allow_unstable is set, in which case the analytic continuation through
+    tau*lam/2 <= 1; beyond it a CflViolationError is raised unless the operator
+    allows unstable evaluation, and then the analytic continuation through
     complex asin is returned (growing, complex off integer steps).
     """
-    c, s = wave_multiplier_arrays(op, np.asarray([float(lam)]), t, allow_unstable=allow_unstable)
+    c, s = wave_multiplier_arrays(op, np.asarray([float(lam)]), t)
     cv, sv = c[0], s[0]
     if not np.iscomplexobj(c):
         return float(cv), float(sv)
     return complex(cv), complex(sv)
 
 
-def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float, allow_unstable: bool = False):
+def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float):
     """Vectorized wave_multipliers over an array of nonnegative frequencies."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
@@ -515,6 +526,6 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float, allow_u
     if not np.all(np.isfinite(lam)):
         raise ValueError("frequencies must be finite")
     t = float(t)
-    phi = op.phase(lam, t, allow_unstable)
+    phi = op.phase(lam, t)
     safe = np.where(lam == 0.0, 1.0, lam)
     return np.cos(phi), np.where(lam == 0.0, t * op.inverse_slope, np.sin(phi) / safe)

@@ -674,6 +674,23 @@ def test_kernel_guard_trip_leaves_no_kernel_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["K0", "K1", "K0_alpha", "K1_alpha"])
+def test_kernel_past_the_cfl_bound_needs_allow_unstable(tmp_path, capsys, kind):
+    # lambda_max ~ 8.06 against the bound 2/tau = 2
+    frac = {"frac_alpha": 0.3} if kind.endswith("_alpha") else {}
+    cfg = _config(tmp_path, dim=1, points=8, spacing=0.25, mass=1.0, time_model="central_difference", tau=1.0,
+                  times="0.5, 1.5", **frac)
+    out = tmp_path / "o"
+    assert main(["kernel", "--kind", kind, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: stability bound violated") and "--allow-unstable" in err
+    assert list(out.iterdir()) == []
+    assert main(["kernel", "--kind", kind, "--config", cfg, "--out", str(out), "--allow-unstable"]) == 0
+    names = [f"kernel_{kind}_000.csv", f"kernel_{kind}_001.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names + ["metadata.json"]
+    assert json.loads((out / "metadata.json").read_text())["allow_unstable"] is True
+
+
 def test_kernel_finite_tolerance_breach_still_writes_kernels_and_metadata(tmp_path, capsys):
     cfg = _config(tmp_path, dim=1, points=16, spacing=0.5, mass=0.0, times="0.5, 1.0")
     out = tmp_path / "o"

@@ -278,6 +278,18 @@ def test_egf_rejects_nilpotent_direction():
         egf_eval(op, s, 1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("egf", [egf_eval, egf_series_eval], ids=["closed", "series"])
+def test_egf_rejects_non_finite_argument_and_time(egf, x):
+    # a NaN used to give an all-NaN multivector, and an infinite coefficient numpy's invalid-value warning
+    op, sig = DeltaOperator.central_difference(0.5), Signature(1)
+    s = Multivector.generator(sig, 1) * 0.7
+    with pytest.raises(ValueError, match="argument s must have finite coefficients"):
+        egf(op, Multivector(sig, [0.0, x, 0.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="time t must be finite"):
+        egf(op, s, x)
+
+
 # -- wave multipliers -----------------------------------------------------------
 
 
@@ -340,6 +352,7 @@ def test_multipliers_are_the_closed_forms_bit_for_bit(tau):
     lam = np.geomspace(1.001e-4, 0.999, 2001) * 2.0 / tau  # tau*lam/2 in [1e-4, 0.999]
     wide = lam * 3.0  # reaches past the bound 2/tau
     central, derivative = DeltaOperator.central_difference(tau), DeltaOperator.derivative()
+    growing = DeltaOperator.central_difference(tau, allow_unstable=True)
     for j in (-7, -2, -1, 1, 3, 10):
         t = j * tau / 2.0
         k = 2.0 * t / tau
@@ -348,7 +361,7 @@ def test_multipliers_are_the_closed_forms_bit_for_bit(tau):
         for (c, s), (cw, sw) in (
             (wave_multiplier_arrays(central, lam, t), (np.cos(k * theta), np.sin(k * theta) / lam)),
             (wave_multiplier_arrays(derivative, lam, t), (np.cos(t * lam), np.sin(t * lam) / lam)),
-            (wave_multiplier_arrays(central, wide, t, allow_unstable=True),
+            (wave_multiplier_arrays(growing, wide, t),
              (np.cos(k * unstable), np.sin(k * unstable) / wide)),
         ):
             assert c.dtype == cw.dtype and c.tobytes() == cw.tobytes()
@@ -358,12 +371,12 @@ def test_multipliers_are_the_closed_forms_bit_for_bit(tau):
 def test_inverse_symbol_continues_past_the_bound_like_the_multipliers():
     # s = lam e1 squares to -lam^2, so the generating function reads M(i lam): the multipliers' branch
     tau = 0.5
-    op = DeltaOperator.central_difference(tau)
+    op, growing = DeltaOperator.central_difference(tau), DeltaOperator.central_difference(tau, allow_unstable=True)
     sig = Signature(1)
     e1 = Multivector.generator(sig, 1)
     for lam in (5.0, 9.0):
         for t in (0.75, 1.25, 2.0):
-            c, s = wave_multipliers(op, lam, t, allow_unstable=True)
+            c, s = wave_multipliers(growing, lam, t)
             want = Multivector.scalar(sig, c) + (e1 * lam) * s
             assert (egf_eval(op, e1 * lam, t) - want).norm() <= 1e-12 * want.norm()
 
@@ -378,11 +391,11 @@ def test_cfl_violation_raises_with_diagnostics():
 
 
 def test_unstable_continuation_grows():
-    op = DeltaOperator.central_difference(1.0)
+    op = DeltaOperator.central_difference(1.0, allow_unstable=True)
     lam = np.array([2.5])
     norms = []
     for steps in (2, 4, 6):
-        c, s = wave_multiplier_arrays(op, lam, float(steps), allow_unstable=True)
+        c, s = wave_multiplier_arrays(op, lam, float(steps))
         norms.append(abs(c[0]))
     assert norms[0] < norms[1] < norms[2]
     assert norms[2] > 10.0
