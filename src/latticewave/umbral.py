@@ -31,9 +31,9 @@ steps), requested by ``central_difference(tau, allow_unstable=True)``.
 time model (``propagators.TimeModel``), and it owns its time lattice, its
 CFL bound, that stability policy and its multipliers.  The built-ins evaluate
 closed forms and build their exact series only when the polynomial tools
-ask, so a solver run never enters ``fractions``.  A custom series is evaluated over
-a whole array of frequencies by Newton's method on L(u) = i lambda, which
-covers the central-difference series' stable band up to tau*lambda/2 = 0.999.
+ask, so a solver run never enters ``fractions``.  A custom series is solved
+over a whole frequency array by Newton's method on L(u) = i lambda, covering
+the central-difference series' stable band up to tau*lambda/2 = 0.999.
 """
 
 from __future__ import annotations
