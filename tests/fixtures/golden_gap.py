@@ -6,6 +6,8 @@ prints one line per file of either tree, by its path relative to the tree:
 
 * a field CSV (any file ``load_field`` reads): max |new - old| over every
   site and blade, divided by max |old|;
+* a heat-kernel CSV, whose rows pair the Bessel and spectral routes: that
+  ratio for each route's columns;
 * ``metadata.json``: the largest absolute change of any number in it, and
   where; a change to anything but a number is named instead;
 * any other file: whether the bytes are identical.
@@ -19,8 +21,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from latticewave.cli import ConfigError, load_field
 from latticewave.lattice import align
+
+ROUTES = ("bessel", "spectral")
+PAIRED = [f"{part}_{route}" for route in ROUTES for part in ("re", "im")]
 
 
 def field_gap(old: Path, new: Path) -> str:
@@ -31,6 +38,34 @@ def field_gap(old: Path, new: Path) -> str:
     delta = float(abs(x - y).max(initial=0.0))
     peak = float(abs(x).max(initial=0.0))
     return f"field max|d|/max|value| = {delta / peak if peak else delta:.3g}"
+
+
+def _paired(path: Path):
+    """The ``#`` lines, the header and {(site, blade): row of the four values} of a heat-kernel CSV."""
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    meta = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if line and not line.startswith("#")] or [[]]
+    try:
+        if header[-4:] == PAIRED:
+            return meta, header, {tuple(row[:-4]): np.array(row[-4:], dtype=float) for row in rows}
+    except ValueError:
+        pass
+    raise ConfigError(f"{path}: not a heat-kernel file")
+
+
+def paired_gap(old: Path, new: Path) -> str:
+    (meta_a, head_a, a), (meta_b, head_b, b) = _paired(old), _paired(new)
+    if (meta_a, head_a) != (meta_b, head_b):
+        return "grid, time or header changed"
+    # a row that one side omits holds exact zeros
+    keys, zero = sorted(a.keys() | b.keys()), np.zeros(4)
+    x, y = (np.array([rows.get(k, zero) for k in keys]).reshape(-1, 2, 2) for rows in (a, b))
+    x, y = x[..., 0] + 1j * x[..., 1], y[..., 0] + 1j * y[..., 1]  # one complex column per route
+    gaps = []
+    for route, u, v in zip(ROUTES, x.T, y.T):
+        delta, peak = float(abs(u - v).max(initial=0.0)), float(abs(u).max(initial=0.0))
+        gaps.append(f"{route} max|d|/max|value| = {delta / peak if peak else delta:.3g}")
+    return ", ".join(gaps)
 
 
 def _numbers(old, new, path: str, out: list) -> None:
@@ -64,10 +99,12 @@ def gap(old: Path, new: Path) -> str:
         return "identical"
     if old.name == "metadata.json":
         return metadata_gap(old, new)
-    try:
-        return field_gap(old, new)
-    except ConfigError:
-        return "bytes differ"
+    for measure in (field_gap, paired_gap):
+        try:
+            return measure(old, new)
+        except ConfigError:
+            pass
+    return "bytes differ"
 
 
 def main(argv: list[str]) -> int:

@@ -6,6 +6,8 @@ import shutil
 from pathlib import Path
 
 from latticewave.cli import load_field, store_field
+from latticewave.fractional import heat_kernel_bessel, heat_kernel_spectral
+from latticewave.lattice import GridSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 spec = importlib.util.spec_from_file_location("golden_gap", FIXTURES / "golden_gap.py")
@@ -40,3 +42,21 @@ def test_names_a_change_beyond_the_numbers(tmp_path, capsys):
         (tmp_path / side / "metadata.json").write_text(json.dumps({"config": {"equation": equation}}))
     assert golden_gap.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     assert capsys.readouterr().out == "metadata.json: metadata changed beyond its numbers at config.equation\n"
+
+
+def test_reports_each_route_of_a_heat_kernel(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(FIXTURES / "golden" / "heat_kernel", old)
+    shutil.copytree(old, new)
+    grid, s = GridSpec((16,), 0.5), 0.5  # tests/fixtures/heat_kernel.cfg
+    kb, ks = heat_kernel_bessel(grid, s), heat_kernel_spectral(grid, s)
+    store_field(kb * (1 + 1e-3), str(new / "kernel_heat_000.csv"), s=s, spectral=ks)
+    store_field(kb, str(new / "kernel_heat_001.csv"), s=s, spectral=ks)
+    store_field(kb, str(old / "kernel_heat_001.csv"), s=2 * s, spectral=ks)
+
+    assert golden_gap.main([str(old), str(new)]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["kernel_heat_000.csv"].startswith("bessel max|d|/max|value| = 0.001, spectral max|d|/max|value| = ")
+    spectral_gap = float(lines["kernel_heat_000.csv"].rpartition(" = ")[2])
+    assert spectral_gap <= 1e-12  # the golden's spectral column against the same route, rerun
+    assert lines["kernel_heat_001.csv"] == "grid, time or header changed"
