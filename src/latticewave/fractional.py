@@ -9,7 +9,10 @@ functions,
 where I~ periodizes the Bessel index over the N-site circle (I~_k =
 sum_w I_{k + wN}); the prefactor is fixed so that the h^n-weighted
 convolution of K_s with the data reproduces the semigroup, which also
-forces unit site-sum (mass conservation).
+forces unit site-sum (mass conservation).  One route computes every
+modified Bessel value: Miller's backward recurrence, normalized by
+e^{-u}(I_0 + 2 sum_k I_k) = 1, gives the scaled e^{-u} I_k(u) of all orders
+at once, for every u, and the kernel folds them onto the circle.
 
 Fractional powers (-Laplacian + m^2)^{-alpha} come in two deliberately
 independent flavors: the closed spectral multiplier (d^2 + m^2)^{-alpha},
@@ -59,7 +62,6 @@ __all__ = [
     "p_t_operator",
 ]
 
-BESSEL_MAX_ARG = 700.0  # e^700 is still finite in double precision
 ML_MAX_ABS = 30.0
 # the subordination rule: trapezoid nodes in log t, the error bound of its
 # analytic head, and the decay e^{-t m^2} = e^-40 that places its cutoff
@@ -106,40 +108,23 @@ def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:
     return (2.0 * np.pi) ** (-grid.n / 2.0) * scalar_kernel(grid, np.exp(-s * d2_field(grid)))
 
 
-def _periodized_bessel(N: int, u: float) -> np.ndarray:
-    """I~_x(u) = sum_{w in Z} I_{x + wN}(u) for x = 0..N-1, truncated at 1e-16.
-
-    Site x adds the ring I_{x+wN} + I_{|x-wN|} for w = 1, 2, ... and stops
-    after the first ring below 1e-16 of its sum.  The first series
-    evaluation covers the orders below 3N, i.e. the rings w <= 2: sites near
-    N/2 always need ring 2, since I_{N-x} is as large as I_x there.  It is
-    extended (at least doubled) when a ring runs past it.
-    """
-    vals = _bessel_series(np.arange(3 * N), u)
-    out = vals[:N].copy()
-    live = np.arange(N)
-    w = 1
-    while live.size:
-        need = (w + 1) * N
-        if need > vals.size:
-            vals = np.concatenate([vals, _bessel_series(np.arange(vals.size, max(need, 2 * vals.size)), u)])
-        ring = vals[live + w * N] + vals[w * N - live]
-        acc = out[live] + ring
-        out[live] = acc
-        live = live[~(ring < 1e-16 * np.maximum(acc, 1e-300))]
-        w += 1
-    return out
-
-
 def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
-    """Closed-form heat kernel h^-n e^{-2ns/h^2} prod_j I~_{x_j}(2s/h^2)."""
+    """Closed-form heat kernel h^-n prod_j e^{-u} I~_{x_j}(u), u = 2s/h^2, for every finite s >= 0.
+
+    Each axis folds the scaled orders by k mod N and -k mod N.  By the
+    Poisson sum of A&S 9.6.19 over the N-th roots of unity,
+    |N e^{-u} I~_x(u) - 1| <= (N - 1) e^{-u (1 - cos(2 pi/N))}.  Where that
+    bound reaches e^-40, below rounding, u stops growing: the recurrence
+    stays O(N) orders long, and a 2s/h^2 that overflows is harmless.
+    """
     s = _heat_time(s)
     u = 2.0 * s / grid.h**2
-    if u > BESSEL_MAX_ARG:
-        raise ValueError(f"2s/h^2 = {u:.3g} exceeds the Bessel overflow guard {BESSEL_MAX_ARG}")
     vals = np.ones(grid.shape)
     for axis, N in enumerate(grid.shape):
-        line = _periodized_bessel(N, u) * np.exp(-u)
+        flat = (40.0 + math.log(N)) / (2.0 * math.sin(math.pi / N) ** 2)  # 2 sin^2(pi/N) = 1 - cos(2 pi/N)
+        scaled = _scaled_bessel(min(u, flat), N - 1)
+        k = np.arange(scaled.size)
+        line = np.bincount(k % N, scaled, N) + np.bincount(-k[1:] % N, scaled[1:], N)
         shape = [1] * grid.n
         shape[axis] = -1
         vals = vals * line.reshape(shape)
@@ -149,52 +134,50 @@ def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
 # -- special functions -----------------------------------------------------------
 
 
-def _bessel_series(orders: np.ndarray, u: float) -> np.ndarray:
-    """I_k(u) for an array of orders k >= 0 at one finite u in [0, 700].
+def _scaled_bessel(u: float, K: int) -> np.ndarray:
+    """e^{-u} I_k(u) for k = 0..K + 10 sqrt(u) + 60 at one finite u >= 0; exact to rounding for k <= K.
 
-    All series terms are positive, so no cancellation occurs.  The leading
-    term of each order is seeded through lgamma and underflow is returned as
-    exact zero (the true value is then far below double precision).  Every
-    order runs the same scalar recurrence and stops at its own term.
+    Miller's backward recurrence I_{k-1} = (2k/u) I_k + I_{k+1} starts from
+    zero past the top order, where the values lie below e^-50 of the peak.
+    It runs on the ratios r_k = I_k / I_{k-1} = u / (2k + u r_{k+1}), which
+    rescales I_k to 1 at every step: no value overflows, and u = 0 gives
+    r = 0.  The products r_1 ... r_k = I_k / I_0 are then normalized by
+    e^{-u} (I_0 + 2 sum_{k>=1} I_k) = 1 (Abramowitz & Stegun 9.6.37, 9.12).
     """
-    orders = np.asarray(orders, dtype=np.int64)
-    if u == 0.0:
-        return (orders == 0).astype(float)
-    half = u / 2.0
-    out = np.zeros(orders.shape)
-    # seeded with the math module per order: np.exp can differ in the last bit
-    lead = np.array([int(k) * math.log(half) - math.lgamma(int(k) + 1) for k in orders])
-    live = np.flatnonzero(lead >= -745.0)
-    if not live.size:
-        return out
-    term = np.array([math.exp(x) for x in lead[live]])
-    acc = term.copy()
-    k = orders[live]
-    h2 = half * half
-    for j in range(1, 20000):
-        term *= h2 / (j * (j + k))
-        acc += term
-        done = term <= acc * 1e-17
-        if done.any():
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, term, acc, k = live[keep], term[keep], acc[keep], k[keep]
-            if not live.size:
-                return out
-    raise RuntimeError("Bessel series failed to converge")  # pragma: no cover
+    top = K + int(10.0 * math.sqrt(u)) + 60
+    ratios = np.empty(top)
+    r = 0.0
+    for k in range(top, 0, -1):
+        r = u / (2.0 * k + u * r)
+        ratios[k - 1] = r
+    rel = np.cumprod(ratios)  # I_k / I_0, k = 1..top
+    i0 = 1.0 / (1.0 + 2.0 * rel.sum())
+    return np.concatenate(([i0], i0 * rel))
 
 
 def bessel_i(k: int, u: float) -> float:
-    """Modified Bessel I_k(u) for integer k, 0 <= u <= 700, by its power series."""
+    """Modified Bessel I_k(u) for integer k and finite u >= 0: e^u times the recurrence's scaled value.
+
+    Its absolute error is therefore about 1e-16 e^u: an order whose scaled
+    value underflows gives 0.  Raises ValueError where the product is not
+    finite, i.e. past u = log of the largest double (about 709.78), where
+    e^u overflows.
+    """
     k = abs(int(k))
     u = float(u)
     if not math.isfinite(u):
         raise ValueError(f"Bessel argument u must be finite, got {u}")
     if u < 0:
         raise ValueError(f"Bessel argument u must be nonnegative, got {u}")
-    if u > BESSEL_MAX_ARG:
-        raise ValueError(f"Bessel argument u = {u:.3g} exceeds the overflow guard {BESSEL_MAX_ARG}")
-    return float(_bessel_series(np.array([k]), u)[0])
+    try:
+        scale = math.exp(u)
+    except OverflowError:
+        raise ValueError(f"Bessel I_{k}(u) overflows at u = {u:.6g}: e^u is past the largest double") from None
+    # every ratio I_j / I_{j-1} is below u / 2j, so at most 1/2 from j = u on: the scaled value
+    # of an order past u + 1100 is below 2^-1100, zero in double precision
+    if k > u + 1100.0:
+        return 0.0
+    return scale * float(_scaled_bessel(u, k)[k])
 
 
 def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:

@@ -366,12 +366,21 @@ def check_special_functions(b: _Bounds, rng: np.random.Generator) -> None:
     for u in (0.0, 0.5, 1.5):
         want = math.exp(u * u) * erfc(-u)
         b.at_most("erfc identity", abs(mittag_leffler(0.5, 1.0, u) - want) / abs(want), 1e-9)
-    theta = np.linspace(0.0, math.pi, 20001)
     for uu in (0.5, 2.5):
         for k in (0, 1, 3):
-            quad = np.trapezoid(np.exp(uu * np.cos(theta)) * np.cos(k * theta), theta) / math.pi
+            quad = math.exp(uu) * _bessel_quadrature(k, uu)
             # relative below |I_k| = 1, absolute above it
             b.at_most("bessel vs quadrature", abs(bessel_i(k, uu) - quad), 1e-10, min(1.0, abs(quad)))
+
+
+def _bessel_quadrature(k: int, u: float) -> float:
+    """e^{-u} I_k(u) = (1/pi) int_0^pi e^{u (cos theta - 1)} cos(k theta) dtheta by the trapezoid rule.
+
+    The twin of ``fractional``'s recurrence: the integrand is smooth and even
+    in theta, so the rule converges geometrically.
+    """
+    theta = np.linspace(0.0, math.pi, 20001)
+    return float(np.trapezoid(np.exp(u * (np.cos(theta) - 1.0)) * np.cos(k * theta), theta)) / math.pi
 
 
 @_check

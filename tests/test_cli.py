@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from latticewave import GridSpec, LatticeField, random_field
+from latticewave import GridSpec, LatticeField, cli, random_field
 from latticewave.cli import ConfigError, load_config, load_field, main, parse_config, store_field
 
 
@@ -664,14 +664,31 @@ def test_non_finite_residual_at_a_later_time_removes_earlier_fields(tmp_path, ca
     assert not (out / "metadata.json").exists()
 
 
-def test_kernel_guard_trip_leaves_no_kernel_file(tmp_path, capsys):
-    # the first time is exported, then 2s/h^2 = 800 trips the Bessel overflow guard
+def test_kernel_guard_trip_leaves_no_kernel_file(tmp_path, capsys, monkeypatch):
+    # the first time is exported, then a guard trips: no guard of the heat kernel is left to trip
+    # on valid times, so one is planted in the Bessel route
+    bessel = cli.heat_kernel_bessel
+
+    def trips_late(grid, s):
+        if s > 1.0:
+            raise ValueError("planted guard")
+        return bessel(grid, s)
+
+    monkeypatch.setattr(cli, "heat_kernel_bessel", trips_late)
     cfg = _config(tmp_path, dim=1, points=16, spacing=0.5, mass=0.0, times="0.1, 100.0")
     out = tmp_path / "o"
     assert main(["kernel", "--kind", "heat", "--config", cfg, "--out", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical guard: ") and "Bessel overflow guard" in err[0]
+    assert capsys.readouterr().err == "numerical guard: planted guard\n"
     assert list(out.iterdir()) == []
+
+
+def test_heat_kernel_past_the_old_bessel_cap_is_exported(tmp_path):
+    # 2s/h^2 = 800 and 4000 on 64 points: once refused, now both routes agree
+    cfg = _config(tmp_path, dim=1, points=64, spacing=0.5, mass=0.0, times="100.0, 500.0")
+    out = tmp_path / "o"
+    assert main(["kernel", "--kind", "heat", "--config", cfg, "--out", str(out)]) == 0
+    gaps = json.loads((out / "metadata.json").read_text())["residuals"]["heat_discrepancy"]
+    assert sorted(gaps) == ["100.0", "500.0"] and max(gaps.values()) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", ["K0", "K1", "K0_alpha", "K1_alpha"])

@@ -90,10 +90,28 @@ def test_heat_rejects_negative_time():
         heat_kernel_bessel(grid, -0.1)
 
 
-def test_heat_kernel_bessel_overflow_guard():
-    grid = _grid1(h=0.01)  # u = 2s/h^2 is huge
-    with pytest.raises(ValueError):
-        heat_kernel_bessel(grid, 1.0)
+def test_heat_kernel_bessel_agrees_with_spectral_past_the_old_cap():
+    # u = 2s/h^2 = 700 -+ 1e-9 and 4000 on the recurrence; 20000 is past the flat limit of N = 16,
+    # where u stops at about 562; 1e6 runs the recurrence over some 11,000 orders
+    for grid, s in (
+        (GridSpec((64,), 0.5), 87.5 - 1.25e-10),
+        (GridSpec((64,), 0.5), 87.5 + 1.25e-10),
+        (GridSpec((64,), 0.05), 5.0),
+        (GridSpec((8, 16), 0.05), 5.0),
+        (_grid1(h=0.01), 1.0),
+        (GridSpec((1024,), 0.05), 1250.0),
+    ):
+        kb, ks = heat_kernel_bessel(grid, s), heat_kernel_spectral(grid, s)
+        peak = np.max(np.abs(ks.values))
+        assert np.max(np.abs(kb.values - ks.values)) <= 1e-10 * peak, (grid, s)
+
+
+def test_heat_kernel_bessel_at_a_huge_time_is_flat():
+    # 2s/h^2 overflows to inf; the kernel is the uniform 1/(N h)^n to rounding
+    for grid in (_grid1(N=8), GridSpec((4, 6), 0.3)):
+        K = heat_kernel_bessel(grid, 1e307).values[..., 0]
+        want = 1.0 / (grid.site_count * grid.h**grid.n)
+        assert np.max(np.abs(K - want)) <= 4e-16 * want
 
 
 # -- heat semigroup vs dense matrix exponential ------------------------------------
@@ -174,11 +192,26 @@ def test_bessel_edge_cases():
     assert bessel_i(300, 0.1) == 0.0  # true value far below double precision
     with pytest.raises(ValueError):
         bessel_i(0, -1.0)
-    with pytest.raises(ValueError):
-        bessel_i(0, 701.0)
+    # finite up to the u where e^u overflows, about 709.78, and a named error past it
+    theta = np.linspace(0.0, math.pi, 20001)
+    for u in (700.5, 709.0):
+        quad = np.trapezoid(np.exp(u * (np.cos(theta) - 1.0)) * np.cos(2.0 * theta), theta) / math.pi
+        assert abs(bessel_i(2, u) * math.exp(-u) - quad) <= 1e-10 * quad
+    for k, u in ((0, 710.0), (5, 1e6)):
+        with pytest.raises(ValueError, match=r"Bessel I_\d+\(u\) overflows at u = "):
+            bessel_i(k, u)
 
 
-# -- the vectorized Bessel series, pinned to the scalar loops it replaced --------------
+def test_bessel_i_past_the_reach_of_its_order_returns_at_once():
+    # past u + 1100 the scaled value is below 2^-1100: no recurrence of 10^12 orders runs
+    assert bessel_i(10**12, 1.0) == 0.0
+    assert bessel_i(-(10**12), 709.0) == 0.0
+    # I_1200(709) = 2.5e-73, but e^-709 of it underflows: bessel_i is e^u times the scaled value
+    assert bessel_i(1809, 709.0) == 0.0 and bessel_i(1200, 709.0) == 0.0
+    assert bessel_i(1000, 709.0) == pytest.approx(3.8394119e33, rel=1e-7)  # mpmath's besseli(1000, 709)
+
+
+# -- the recurrence against the power series it replaced --------------------------------
 
 
 def _ref_bessel_i(k, u):
@@ -219,29 +252,27 @@ def _ref_periodized_bessel(N, u):
 BESSEL_US = [0.0, 1e-300, 1e-9] + [float(u) for u in np.linspace(25.0, 700.0, 10)]
 
 
+# The series references are e^-u times the true values to about 1e-16 relative
+# for u <= 700.  Measured gaps on the scaled values, before the bounds were set:
+# periodized lines 4.9e-15 at N = 2, 1.4e-15 at N = 8, below 4e-16 at N >= 64
+# (against the spectral sum, the recurrence's own gap at N = 2 is 3.3e-16: the
+# reference's rings carry the larger error); single orders 1.2e-16.
+
+
 @pytest.mark.parametrize("N", [2, 8, 64, 256])
-def test_periodized_bessel_is_bit_identical_to_the_scalar_loop(N):
+def test_periodized_bessel_matches_the_scalar_loop(N):
     for u in BESSEL_US:
-        assert fractional._periodized_bessel(N, u).tobytes() == _ref_periodized_bessel(N, u).tobytes(), u
+        line = heat_kernel_bessel(GridSpec((N,), 1.0), u / 2.0).values[:, 0]  # h = 1: the line itself
+        assert np.max(np.abs(line - math.exp(-u) * _ref_periodized_bessel(N, u))) <= 1e-14, u
 
 
-def test_bessel_series_is_bit_identical_to_the_scalar_loop():
+def test_bessel_i_matches_the_scalar_loop():
     # negative orders, and orders whose leading term underflows (lead < -745)
     orders = [-300, -7, -1, 0, 1, 2, 5, 37, 255, 300, 400, 900, 2000, 5000]
     for u in BESSEL_US:
-        want = np.array([_ref_bessel_i(k, u) for k in orders])
-        got = np.array([bessel_i(k, u) for k in orders])
-        assert got.tobytes() == want.tobytes(), u
-        series = fractional._bessel_series(np.abs(orders), u)
-        assert series.tobytes() == want.tobytes(), u
+        gaps = [abs(bessel_i(k, u) - _ref_bessel_i(k, u)) * math.exp(-u) for k in orders]
+        assert max(gaps) <= 5e-16, u
     assert _ref_bessel_i(400, 25.0) == 0.0 and _ref_bessel_i(2, 1e-300) == 0.0  # the underflow rule is exercised
-
-
-def test_bessel_series_with_no_live_order_returns_at_once():
-    assert fractional._bessel_series(np.array([], dtype=int), 3.0).shape == (0,)
-    assert not fractional._bessel_series(np.array([2000, 5000]), 1.0).any()
-    # a NaN argument leaves no live order, so the series cannot spin on it
-    assert not fractional._bessel_series(np.arange(4), math.nan).any()
 
 
 # -- non-finite heat times and Bessel arguments ---------------------------------------

@@ -17,6 +17,7 @@ of a Python function.  The rows look the twins up on their modules when they
 run, so a planted fault that reroutes a twin fails here.
 """
 
+import math
 import sys
 import types
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ import latticewave.clifford as clifford
 import latticewave.fractional as fractional
 import latticewave.lattice as lattice
 import latticewave.propagators as propagators
+import latticewave.selftest as selftest
 import latticewave.spectral as spectral
 import latticewave.umbral as umbral
 from latticewave import CauchyData, FracParams, GridSpec, TimeModel, random_field
@@ -141,6 +143,13 @@ ROWS = [
         lambda x: fractional.heat_kernel_bessel(x.grid, 0.4),
         path=(spectral.scalar_kernel, spectral.idft),
         never=(fractional.heat_kernel_spectral, fractional.heat_semigroup, spectral, np.fft),
+    ),
+    Row(
+        "bessel-recurrence",
+        lambda x: fractional.bessel_i(3, 0.8 / x.grid.h**2),  # u = 2s/h^2 of the heat-kernel row
+        lambda x: selftest._bessel_quadrature(3, 0.8 / x.grid.h**2),
+        path=(fractional._scaled_bessel,),
+        never=(fractional,),
     ),
     Row(
         "frac-power",
@@ -278,6 +287,10 @@ def _euler_through_the_semigroup(f, s, steps):
     return fractional.heat_semigroup(f, s)
 
 
+def _quadrature_through_bessel_i(k, u):
+    return math.exp(-u) * fractional.bessel_i(k, u)
+
+
 def _series_through_the_closed_form(series):
     return umbral.DeltaOperator.central_difference(TAU)
 
@@ -288,6 +301,7 @@ PLANTED = [
     ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),
     ("heat-euler", fractional, "heat_euler", _euler_through_the_semigroup, "fractional.heat_semigroup"),
+    ("bessel-recurrence", selftest, "_bessel_quadrature", _quadrature_through_bessel_i, "latticewave.fractional"),
 ]
 
 
