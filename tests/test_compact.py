@@ -2,10 +2,11 @@
 
 A field stores only its active blade columns.  Every operation that works on
 those columns must give, on each column active in the dense result, the bits
-of the dense computation it replaced, and exact zeros elsewhere.  The one
-exception is ``norm``: it sums the squares of the active columns in their own
-order, and must stay within 2 ulps of the dense sum.  The dense references
-below are the straightforward ``(*shape, 4**n)`` algorithms.
+of the dense computation it replaced, and exact zeros elsewhere.  The dense
+references below are the straightforward ``(*shape, 4**n)`` algorithms, except
+for ``norm``: numpy's sum adds in an order set by the memory layout, so its
+reference sums the dense columns of the field's support, copied into the
+field's own layout.
 """
 
 import os
@@ -13,7 +14,7 @@ import tempfile
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticewave.clifford as clifford
@@ -97,8 +98,11 @@ def _dirac_kahler(vals, g, first_sign):
     return out
 
 
-def _norm(vals, g):
-    return float(np.sqrt(g.h**g.n * np.sum(np.abs(vals) ** 2)))
+def _norm(vals, f):
+    """sqrt(h^n sum |v|^2) over the dense columns at ``f.support``, laid out like ``f.columns``."""
+    cols = np.empty_like(f.columns)
+    cols[...] = vals[..., list(f.support)]
+    return float(np.sqrt(f.grid.h**f.grid.n * np.sum(np.abs(cols) ** 2)))
 
 
 def _combine(g, F0, F1, c, s):
@@ -141,6 +145,8 @@ GRIDS = st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3).map(
 
 
 @settings(max_examples=40, deadline=None)
+# the dense sum over all 4**n columns put norm(a - b) 3 ulps off here
+@example(g=GridSpec((4,), 0.75, alpha=0.25, mass=0.6), bits=(10, 3), seed=2_667_853_772, scalar=1 + 0j)
 @given(
     g=GRIDS,
     bits=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
@@ -170,9 +176,9 @@ def test_compact_operations_equal_dense(g, bits, seed, scalar):
     _same(LatticeField.constant(g, mv), np.broadcast_to(mv.coeffs, a_vals.shape).copy())
     support, cols = mul_columns(g.n, a.support, a.columns, b.support, b.columns)
     _same(LatticeField._of(g, support, cols), _mul(g.n, a_vals, b_vals))
-    # a norm sums the active columns only, so it may leave the dense sum's bits by summation order
+    # a norm sums the active columns only; the other columns are zero (checked above)
     for f, vals in ((a, a_vals), (b, b_vals), (a - b, a_vals - b_vals)):
-        np.testing.assert_array_max_ulp(norm(f), _norm(vals, g), maxulp=2)
+        assert norm(f) == _norm(vals, f)
     # and a relative gap is the quotient of two such norms
     scale, diff = norm(b), norm(a - b)
     assert relative_gap(a, b) == (diff / scale if scale > 1e-300 else diff)
