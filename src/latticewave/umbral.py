@@ -79,10 +79,7 @@ class CflViolationError(RuntimeError):
     def __init__(self, lam_max: float, bound: float):
         self.lam_max = lam_max
         self.bound = bound
-        super().__init__(
-            f"stability bound violated: max frequency {lam_max:.6g} exceeds 2/tau = {bound:.6g}; "
-            "pass --allow-unstable (CLI) or allow_unstable=True (time model) to evaluate the growing branch anyway"
-        )
+        super().__init__(f"stability bound violated: max frequency {lam_max:.6g} exceeds 2/tau = {bound:.6g}")
 
 
 # -- formal power series (exponential coefficients) ---------------------------
@@ -498,7 +495,11 @@ def _central_phase(tau: float, lam: np.ndarray, t: float, allow_unstable: bool) 
     k = 2.0 * t / tau
     if not np.iscomplexobj(u) and np.any(u > 1.0):
         if not allow_unstable:
-            raise CflViolationError(float(lam.max()), 2.0 / tau)
+            err = CflViolationError(float(lam.max()), 2.0 / tau)
+            # only the time model has a growing branch to offer
+            err.args = (f"{err}; pass --allow-unstable (CLI) or allow_unstable=True (time model) "
+                        "to evaluate the growing branch anyway",)
+            raise err
         u = u.astype(complex)
     return k * np.arcsin(u)
 

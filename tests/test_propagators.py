@@ -355,8 +355,11 @@ def test_chebyshev_solve_guards():
     with pytest.raises(ValueError):
         chebyshev_solve(data, 0.2, 1.0, -0.2)  # this route is forward-only
     fine = GridSpec((8,), 0.25)
-    with pytest.raises(CflViolationError):
+    # the Chebyshev twin has no growing branch, so its error offers none
+    with pytest.raises(CflViolationError, match=r"exceeds 2/tau = 4$"):
         chebyshev_solve(CauchyData.rest(LatticeField.delta(fine)), 0.5, 1.0, 0.5)
+    with pytest.raises(CflViolationError, match=r"exceeds 2/tau = 4; pass --allow-unstable \(CLI\) or allow_unstable"):
+        solve_kg(CauchyData.rest(LatticeField.delta(fine)), TimeModel.central_difference(0.5), 1.0, 0.5)
 
 
 # -- first-order flow ----------------------------------------------------------------
