@@ -30,6 +30,8 @@ def test_grid_validation():
         GridSpec((8,), 1.0, alpha=0.6)
     with pytest.raises(ValueError):
         GridSpec((8,), 1.0, mass=-1.0)
+    with pytest.raises(ValueError, match="even and positive, got 0"):
+        GridSpec((0,), 1.0)  # zero is even, so only the sign test refuses it
 
 
 @pytest.mark.parametrize(
@@ -74,6 +76,8 @@ def test_plane_wave_values_and_range():
     with pytest.raises(ValueError):
         LatticeField.plane_wave(g, (5,))  # outside (-N/2, N/2]
     assert LatticeField.plane_wave(g, (4,)) is not None  # Nyquist mode included
+    with pytest.raises(ValueError, match=r"mode 3 outside \(-2, 2\] on axis 2$"):
+        LatticeField.plane_wave(GridSpec((8, 4), 0.5), (1, 3))
 
 
 def test_plane_wave_orthogonality():

@@ -26,6 +26,7 @@ from latticewave import (
     wave_multiplier_arrays,
     wave_multipliers,
 )
+from latticewave import umbral
 from latticewave.umbral import difference_quotient, poly_eval
 
 
@@ -276,6 +277,18 @@ def test_egf_rejects_nilpotent_direction():
     op = DeltaOperator.central_difference(0.5)
     with pytest.raises(ValueError):
         egf_eval(op, s, 1.0)
+
+
+def test_nilpotent_test_scales_with_the_argument():
+    # s = N + delta e4 with N = a (e1 + e3), N^2 = 0 and |N| = 1e3; e4 anticommutes with N, so
+    # s^2 = delta^2 exactly.  c = delta = 1e-13 is below 1e-14 |s|: s is nilpotent to working
+    # precision, though c is far above 1e-14 / |s|
+    sig = Signature(2)
+    e1, e3, e4 = (Multivector.generator(sig, j) for j in (1, 3, 4))
+    s = (e1 + e3) * (1e3 / math.sqrt(2.0)) + e4 * 1e-13
+    assert (s * s).coeffs[0] == 1e-13 * 1e-13 and abs(s.norm() - 1e3) <= 1e-9
+    with pytest.raises(ValueError, match="nilpotent"):
+        umbral._split_square_root(s)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
