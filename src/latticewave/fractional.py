@@ -135,7 +135,7 @@ def heat_kernel_bessel(grid: GridSpec, s: float) -> LatticeField:
 
 
 def _scaled_bessel(u: float, K: int) -> np.ndarray:
-    """e^{-u} I_k(u) for k = 0..K + 10 sqrt(u) + 60 at one finite u >= 0; exact to rounding for k <= K.
+    """e^{-u} I_k(u) for k = 0..K + 10 sqrt(u) + 60 at one finite u >= 0; accurate to rounding for k <= K.
 
     Miller's backward recurrence I_{k-1} = (2k/u) I_k + I_{k+1} starts from
     zero past the top order, where the values lie below e^-50 of the peak.
@@ -174,7 +174,7 @@ def bessel_i(k: int, u: float) -> float:
     except OverflowError:
         raise ValueError(f"Bessel I_{k}(u) overflows at u = {u:.6g}: e^u is past the largest double") from None
     # every ratio I_j / I_{j-1} is below u / 2j, so at most 1/2 from j = u on: the scaled value
-    # of an order past u + 1100 is below 2^-1100, zero in double precision
+    # of an order past u + 1100 is below about 2^-1100, zero in double precision
     if k > u + 1100.0:
         return 0.0
     return scale * float(_scaled_bessel(u, k)[k])

@@ -178,6 +178,7 @@ def test_bessel_matches_integral_representation():
 
 
 def test_bessel_recurrence_and_symmetry():
+    # the recurrence's own relation: a consistency check, not an oracle (the quadrature above is one)
     for u in (0.3, 4.0, 50.0):
         for k in (1, 2, 5):
             lhs = bessel_i(k - 1, u) - bessel_i(k + 1, u)
