@@ -10,9 +10,9 @@ Configuration is a flat ``key=value`` text file; ``#`` starts a comment line
 and every value is validated with a named error before any computation runs.
 Exit codes: 0 success, 2 configuration error (also an ``--out`` that cannot
 be a directory, or a failed output write), 3 numerical guard (CFL violation,
-special-function domain guard, or ``--tolerance`` exceeded).  The field CSV
-format and the row writer of every output CSV live in ``fieldio``, whose
-``store_field``, ``load_field`` and ``ConfigError`` are re-exported here.
+special-function domain guard, a non-finite kernel, or ``--tolerance``
+exceeded).  The field CSV format and the row writer of every output CSV live
+in ``fieldio``; ``store_field``, ``load_field`` and ``ConfigError`` are re-exported.
 """
 
 from __future__ import annotations
@@ -126,10 +126,7 @@ def _choice(key: str, raw: str, options: tuple[str, ...]) -> str:
 
 
 def _float_list(key: str, raw: str) -> list[float]:
-    out = [_as_float(key, tok.strip()) for tok in raw.split(",")]
-    if not out:
-        raise ConfigError(f"{key}: needs at least one value")
-    return out
+    return [_as_float(key, tok.strip()) for tok in raw.split(",")]
 
 
 def _int_list(key: str, raw: str) -> list[int]:
@@ -429,10 +426,9 @@ def cmd_evolve(args) -> int:
         frac = FracParams(cfg["frac_alpha"], m)
     tau = None if time is None else time.tau  # set for central differences only
 
-    # Per equation: the field at time t, and the checks of the slice psi at t.
-    # The lambdas look the solvers up by name each time they run.  A plan
-    # transforms the Cauchy data inside its first solve, and once per run:
-    # the continuous-time checks read the same plan.
+    # Per equation: the field at time t.  The lambdas look the solvers up by name each
+    # time they run.  A plan transforms the Cauchy data inside its first solve, and once
+    # per run: the continuous-time checks read the same plan.
     solvers = {
         "klein_gordon": lambda t: solve_kg(plan, time, m, t),
         "dirac": lambda t: solve_dirac(plan, time, grid.alpha, m, t),
@@ -440,17 +436,38 @@ def cmd_evolve(args) -> int:
         "fractional_kg": lambda t: solve_kg_fractional(data, time, frac, t),
     }
 
-    def reads(t: float) -> tuple[float, ...]:
-        """The slices that output time t and its checks below read."""
-        if equation == "heat":
-            return (t, t / 2.0)
-        if not tau:
-            return (t,)
-        half = (t - tau / 2, t + tau / 2) if equation == "dirac" else ()
-        return (t, *half, t - tau, t + tau)
+    def leapfrog(t, psi, before, after):
+        return {"kg_residual": kg_residual(before, psi, after, m, tau)}
+
+    def half_step(t, psi, before, after):
+        return {"dirac_residual": dirac_residual(before, psi, after, grid.alpha, m, tau)}
+
+    def semigroup(t, psi, half):
+        return {"semigroup_gap": relative_gap(heat_semigroup(half, t / 2.0), psi)}
+
+    def equivalence(t, psi):
+        return {"fractional_equivalence_gap": relative_gap(psi, solvers["klein_gordon"](t))}
+
+    def richardson(t, psi):
+        if equation == "dirac":
+            pair = continuous_dirac_residual(plan, grid.alpha, m, t, psi=psi)
+            return {"dirac_residual": pair[0], "richardson_order": pair[1]}
+        pair = continuous_kg_residual(plan, m, t, psi=psi)
+        return {"continuous_residual": pair[0], "richardson_order": pair[1]}
+
+    # Each equation's checks, run in order, as (reads, check): check(t, psi, *slices) gets the slices
+    # at the times reads(t) just before it runs, and the solve-once schedule below counts those reads.
+    steps = [(lambda t: (t - tau, t + tau), leapfrog)] if tau else []
+    checks = {
+        "klein_gordon": steps or [(lambda t: (), richardson)],
+        "dirac": [(lambda t: (t - tau / 2, t + tau / 2), half_step), *steps] if tau else [(lambda t: (), richardson)],
+        "heat": [(lambda t: (t / 2.0,), semigroup)],
+        "fractional_kg": [(lambda t: (), equivalence), *steps],
+    }[equation]
 
     # Each slice is solved once and kept until its last read; the keys tell -0.0 from 0.0
-    unread = collections.Counter(repr(x) for t in cfg["times"] for x in reads(t))
+    unread = collections.Counter(repr(t) for t in cfg["times"])
+    unread.update(repr(x) for t in cfg["times"] for reads, _ in checks for x in reads(t))
     kept: dict[str, LatticeField] = {}
 
     def at(t: float) -> LatticeField:
@@ -463,37 +480,14 @@ def cmd_evolve(args) -> int:
             kept[key] = psi
         return psi
 
-    def leapfrog(t: float, psi: LatticeField) -> dict[str, float]:
-        return {"kg_residual": kg_residual(at(t - tau), psi, at(t + tau), m, tau)} if tau else {}
-
-    def richardson(kind: str, pair: tuple[float, float]) -> dict[str, float]:
-        return {kind: pair[0], "richardson_order": pair[1]}
-
-    def dirac_checks(t: float, psi: LatticeField) -> dict[str, float]:
-        if not tau:
-            return richardson("dirac_residual", continuous_dirac_residual(plan, grid.alpha, m, t, psi=psi))
-        half = dirac_residual(at(t - tau / 2), psi, at(t + tau / 2), grid.alpha, m, tau)
-        return {"dirac_residual": half, **leapfrog(t, psi)}
-
-    checks = {
-        "klein_gordon": lambda t, psi: (
-            leapfrog(t, psi) if tau else richardson("continuous_residual", continuous_kg_residual(plan, m, t, psi=psi))
-        ),
-        "dirac": dirac_checks,
-        "heat": lambda t, psi: {"semigroup_gap": relative_gap(heat_semigroup(at(t / 2.0), t / 2.0), psi)},
-        "fractional_kg": lambda t, psi: {
-            "fractional_equivalence_gap": relative_gap(psi, solvers["klein_gordon"](t)), **leapfrog(t, psi)
-        },
-    }[equation]
-
     with run:
         for idx, t in enumerate(cfg["times"]):
             # overflow ends in a non-finite residual, which finish() reports
             with np.errstate(over="ignore", invalid="ignore"):
                 psi = at(t)
-                found = checks(t, psi)
-            for kind, value in found.items():
-                run.residuals.setdefault(kind, {})[repr(float(t))] = float(value)
+                for reads, check in checks:  # a check's slices are released when it returns
+                    for kind, value in check(t, psi, *map(at, reads(t))).items():
+                        run.residuals.setdefault(kind, {})[repr(float(t))] = float(value)
             worst = _worst(run.residuals)
             if worst is not None and not math.isfinite(worst):
                 break  # the run ends before this slice is written, and keeps no output
@@ -527,9 +521,13 @@ def cmd_kernel(args) -> int:
                 disc = float(np.max(np.abs(bessel - spectral)))
                 run.residuals.setdefault("heat_discrepancy", {})[repr(float(t))] = disc
             else:
-                # a kernel is the inverse transform of one multiplier of the pair: only that one is made
-                pair = wave_symbols(grid, time, m, t) if frac is None else fractional_symbols(grid, time, frac, t)
-                store_field(scalar_kernel(grid, pair[kind.startswith("K1")]), path)
+                # only the stored multiplier is made; past the CFL bound it can overflow, and is then refused
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pair = wave_symbols(grid, time, m, t) if frac is None else fractional_symbols(grid, time, frac, t)
+                    kernel = scalar_kernel(grid, pair[kind.startswith("K1")])
+                if not np.isfinite(kernel.columns).all():
+                    raise ValueError(f"kernel {kind} at t={t!r} holds non-finite values")
+                store_field(kernel, path)
         return run.finish(_worst(run.residuals), kind=kind)
 
 

@@ -170,8 +170,8 @@ def load_field(path: str) -> LatticeField:
     Rows are parsed ``_CHUNK_CHARS`` of text at a time by ``np.loadtxt``, then
     range-checked, mapped to blade masks through a sorted table of the grid's
     canonical labels and scattered into the columns of the blades with rows.
-    A label outside the table (another spelling or an invalid one) is parsed
-    from its line as written; a repeated (site, blade) row keeps its last value.
+    A label outside the table (another spelling or an invalid one), or in a chunk with a
+    NUL, is parsed from its line as written; a repeated (site, blade) keeps its last value.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -197,10 +197,12 @@ def load_field(path: str) -> LatticeField:
                         raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
                 at = np.minimum(np.searchsorted(labels, rows["blade"]), grid.blades - 1)
                 masks = masks_by_label[at]
-                unmatched = np.flatnonzero(labels[at] != rows["blade"])
-                if unmatched.size:
+                unmatched = labels[at] != rows["blade"]
+                if "\x00" in text:  # the text dtype drops a label's trailing NULs: read such rows as written
+                    unmatched |= ["\x00" in line for line in _data_lines(text)]
+                if unmatched.any():
                     lines = _data_lines(text)
-                    for i in unmatched:
+                    for i in np.flatnonzero(unmatched):
                         masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
                 f = f._widened(masks)  # rows of a new blade widen the support
                 at = np.searchsorted(f.support, masks)

@@ -179,9 +179,9 @@ class _CompactField:
 
     def at(self, *index: int) -> Multivector:
         """Multivector at a site index (periodic wrap applies)."""
-        idx = tuple(int(i) % N for i, N in zip(index, self.grid.shape))
-        if len(idx) != self.grid.n:
+        if len(index) != self.grid.n:  # before zip, which drops extra indices
             raise ValueError(f"need {self.grid.n} indices")
+        idx = tuple(int(i) % N for i, N in zip(index, self.grid.shape))
         coeffs = np.zeros(self.grid.blades, dtype=complex)
         coeffs[list(self.support)] = self.columns[idx]
         return Multivector(self.grid.sig, coeffs)

@@ -731,3 +731,29 @@ def test_heat_kernel_discrepancy_stays_below_one_dense_field(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 1e6:.2f} MB, one dense field is {dense_bytes / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("kind", ["K0", "K1", "K0_alpha", "K1_alpha"])
+def test_kernel_that_overflows_past_the_cfl_bound_is_refused(tmp_path, capsys, kind):
+    # the unstable branch grows like e^{t u}: at t = 400 the multipliers overflow, and the kernel
+    # would be NaN in every row; the first time is finite, so its file is written and then removed
+    frac = {"frac_alpha": 0.3} if kind.endswith("_alpha") else {}
+    cfg = _config(tmp_path, dim=1, points=8, spacing=0.25, mass=1.0, time_model="central_difference", tau=1.0,
+                  times="0.5, 400.0", **frac)
+    out = tmp_path / "o"
+    assert main(["kernel", "--kind", kind, "--config", cfg, "--out", str(out), "--allow-unstable"]) == 3
+    assert capsys.readouterr().err == f"numerical guard: kernel {kind} at t=400.0 holds non-finite values\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(dim="two"), "dim: expected an integer, got 'two'"),
+    (dict(spacing="inf"), "spacing: must be finite, got 'inf'"),
+    (dict(initial_data="plane_wave", modes="1, x"), "modes: expected comma-separated integers, got '1, x'"),
+    (dict(initial_data="plane_wave", modes="5"), "modes: mode 5 outside (-4, 4] on axis 1"),
+], ids=["dim", "spacing", "modes-syntax", "modes-range"])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, overrides, message):
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", _config(tmp_path, **{**KG, **overrides}), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

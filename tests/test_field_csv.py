@@ -238,6 +238,8 @@ GOOD = "0,,1.0,0.0\n1,1,2.0,0.0\n"
         ("0,2·1,1.0,0.0", r"bad blade label '2·1': generator index 1 follows 2; blade indices must ascend"),
         ("1,1#,1.0,0.0", r"bad blade label '1#': invalid literal for int\(\) with base 10: '1#'"),
         ("1,#,1.0,0.0", r"bad blade label '#': invalid literal for int\(\) with base 10: '#'"),
+        ("1,1\x00,1.0,0.0", r"bad blade label '1\\x00': invalid literal for int\(\) with base 10: '1\\x00'"),
+        ("1,\x00,1.0,0.0", r"bad blade label '\\x00': invalid literal for int\(\) with base 10: '\\x00'"),
     ],
 )
 @pytest.mark.parametrize("where", ["first", "after"])

@@ -448,3 +448,9 @@ def test_p_t_slices_solve_the_wave_equation(rng):
     phi = random_field(grid, rng)
     slices = [p_t_operator(phi, tm, p, k * tau) for k in (1, 2, 3)]
     assert kg_residual(*slices, p.m, tau) <= 1e-11
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_heat_euler_needs_a_step(steps):
+    with pytest.raises(ValueError, match=f"steps must be positive, got {steps}"):
+        fractional.heat_euler(LatticeField.delta(GridSpec((4,), 1.0)), 0.5, steps)

@@ -78,6 +78,8 @@ def test_plane_wave_values_and_range():
     assert LatticeField.plane_wave(g, (4,)) is not None  # Nyquist mode included
     with pytest.raises(ValueError, match=r"mode 3 outside \(-2, 2\] on axis 2$"):
         LatticeField.plane_wave(GridSpec((8, 4), 0.5), (1, 3))
+    with pytest.raises(ValueError, match="mode needs 2 components, got 1"):
+        LatticeField.plane_wave(GridSpec((8, 4), 0.5), (1,))
 
 
 def test_plane_wave_orthogonality():
@@ -200,3 +202,27 @@ def test_grid_mismatch_rejected(rng):
     w = random_field(GridSpec((6,), 1.0), rng)
     with pytest.raises(ValueError):
         f + w
+
+
+def test_site_reads_constructors_and_products_refuse_mismatched_arguments():
+    g = GridSpec((4, 4), 0.5)
+    f = random_field(g, np.random.default_rng(3))
+    for index in [(0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="need 2 indices"):
+            f.at(*index)
+    with pytest.raises(ValueError, match=r"scalar data must have shape \(4, 4\), got \(4,\)"):
+        LatticeField.from_scalar(g, np.ones(4))
+    other = Multivector.scalar(GridSpec((4,), 0.5).sig, 1.0)
+    with pytest.raises(ValueError, match="signature mismatch"):
+        LatticeField.constant(g, other)
+    with pytest.raises(ValueError, match="signature mismatch"):
+        f.left_mul(other)
+
+
+def test_fields_survive_a_pickle_round_trip():
+    import pickle
+
+    f = random_field(GridSpec((4, 2), 0.5, alpha=0.25, mass=1.5), np.random.default_rng(4), scalar=True)
+    g = pickle.loads(pickle.dumps(f))
+    assert type(g) is LatticeField and g.grid == f.grid and g.support == f.support
+    assert g.columns.tobytes() == f.columns.tobytes()

@@ -525,3 +525,8 @@ def test_a_plan_guards_its_slices_like_the_solver(rng):
     unstable = solve_kg(plan, growing, 1.0, 1.0)
     assert _bits(unstable) == _bits(solve_kg(data, growing, 1.0, 1.0))
 
+
+
+def test_cauchy_data_refuses_fields_on_two_grids():
+    with pytest.raises(ValueError, match="different grids"):
+        CauchyData(LatticeField.delta(GridSpec((4,), 1.0)), LatticeField.delta(GridSpec((4,), 0.5)))

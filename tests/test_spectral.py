@@ -239,3 +239,9 @@ def test_spectral_field_validation():
     g = GridSpec((4,), 1.0)
     with pytest.raises(ValueError):
         SpectralField(g, np.zeros((4, 3), dtype=complex))
+
+
+def test_momentum_pairing_refuses_fields_on_two_grids():
+    a, b = LatticeField.delta(GridSpec((4,), 1.0)), LatticeField.delta(GridSpec((4,), 0.5))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        momentum_pairing(dft(a), dft(b))

@@ -137,3 +137,35 @@ def test_kernel_transforms_only_the_stored_multiplier(kind, tmp_path, transforms
         store_field(pair[kind.startswith("K1")], str(ref))
         assert filecmp.cmp(out / f"kernel_{kind}_{idx:03d}.csv", ref, shallow=False)
     assert transforms["idft"] == 2 * len(KERNEL_TIMES)
+
+
+@pytest.mark.parametrize("equation,model", [
+    ("heat", ""),
+    ("heat", "time_model = continuous\n"),
+    ("fractional_kg", "time_model = continuous\n"),
+    ("fractional_kg", f"time_model = central_difference\ntau = {TAU}\n"),
+], ids=["heat", "heat-continuous", "fractional-continuous", "fractional-central"])
+def test_heat_and_fractional_runs_solve_each_slice_once(equation, model, tmp_path, monkeypatch):
+    # the slices of each output time t: t and t/2 for the semigroup check of heat flow; t, and
+    # t -+ tau under central differences, for the fractional run, whose equivalence check solves
+    # Klein-Gordon through solve_kg and reads no slice
+    times = (0.5, 1.0, 2.0)
+    name = {"heat": "heat_semigroup", "fractional_kg": "solve_kg_fractional"}[equation]
+    calls = []
+    orig = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda f, *rest: calls.append((f, rest[-1])) or orig(f, *rest))
+    extra = "frac_alpha = 0.3\n" if equation == "fractional_kg" else ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"equation = {equation}\ndim = 2\npoints = 4\nspacing = 1.0\nmass = 0.5\n{model}{extra}"
+                   f"times = {','.join(map(repr, times))}\ninitial_data = gaussian\nwidth = 1.0\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    # the solver's calls all take the run's own initial data, the first call's argument
+    solved = [t for f, t in calls if f is calls[0][0]]
+    if equation == "heat":
+        slices = {x for t in times for x in (t, t / 2.0)}
+        assert [t for f, t in calls if f is not calls[0][0]] == [t / 2.0 for t in times]  # one check per time
+    else:
+        slices = {t + d for t in times for d in ((0.0, -TAU, TAU) if "tau" in model else (0.0,))}
+        assert len(solved) == len(calls)
+    assert sorted(solved) == sorted(slices)

@@ -420,3 +420,26 @@ def test_scalar_wrapper_matches_arrays():
     ca, sa = wave_multiplier_arrays(op, np.array([1.2]), 2.0)
     assert c == pytest.approx(complex(ca[0]))
     assert s == pytest.approx(complex(sa[0]))
+
+
+def test_multipliers_refuse_a_negative_frequency():
+    with pytest.raises(ValueError, match="frequencies must be nonnegative"):
+        wave_multiplier_arrays(DeltaOperator.derivative(), np.array([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1], [0], [0, 0, 1]], ids=["b0", "short", "b1"])
+def test_a_custom_series_must_start_with_a_linear_term(coeffs):
+    with pytest.raises(ValueError, match="requires b_0 = 0 and b_1 != 0"):
+        DeltaOperator.from_series(PowerSeries.from_exponential(coeffs))
+
+
+def test_a_custom_series_takes_no_step():
+    with pytest.raises(ValueError, match="a custom delta series has no step tau"):
+        DeltaOperator(tau=0.5, custom=PowerSeries.from_exponential([0, 1]))
+
+
+def test_basic_sequence_stops_at_the_series_order():
+    op = DeltaOperator.from_series(PowerSeries.from_exponential([0, 1, 0, 0]))
+    assert len(basic_sequence(op, 4)) == 4
+    with pytest.raises(ValueError, match="requested 5 polynomials but series order is 4"):
+        basic_sequence(op, 5)
