@@ -69,6 +69,11 @@ _EQUATIONS = ("klein_gordon", "dirac", "heat", "fractional_kg")
 _TIME_MODELS = ("continuous", "central_difference")
 _DATA_KINDS = ("delta", "plane_wave", "gaussian", "file")
 _VELOCITY_KINDS = ("zero",) + _DATA_KINDS
+# each field role: its kind key, then the keys of its modes, width and path
+_ROLES = {
+    "initial": ("initial_data", "modes", "width", "path"),
+    "velocity": ("initial_velocity", "velocity_modes", "velocity_width", "velocity_path"),
+}
 
 
 def _as_int(key: str, raw: str, lo: int, hi: int) -> int:
@@ -200,17 +205,13 @@ def _cross_validate(cfg: dict[str, object]) -> None:
     if "tau" in cfg and cfg.get("time_model") != "central_difference":
         raise ConfigError("tau: only meaningful with time_model=central_difference")
 
-    for kind_key, kinds, modes_key, width_key, path_key in (
-        ("initial_data", _DATA_KINDS, "modes", "width", "path"),
-        ("initial_velocity", _VELOCITY_KINDS, "velocity_modes", "velocity_width", "velocity_path"),
-    ):
+    for kind_key, modes_key, width_key, path_key in _ROLES.values():
         kind = cfg.get(kind_key)
         for sub, need in ((modes_key, "plane_wave"), (width_key, "gaussian"), (path_key, "file")):
             if kind == need and sub not in cfg:
                 raise ConfigError(f"{sub}: required when {kind_key}={need}")
             if sub in cfg and kind != need:
                 raise ConfigError(f"{sub}: only meaningful with {kind_key}={need}")
-    for modes_key in ("modes", "velocity_modes"):
         if modes_key in cfg and "dim" in cfg and len(cfg[modes_key]) != cfg["dim"]:
             raise ConfigError(f"{modes_key}: needs {cfg['dim']} components, got {len(cfg[modes_key])}")
 
@@ -257,13 +258,9 @@ def _grid(cfg: dict[str, object], refined: bool = False) -> GridSpec:
 
 
 def build_field(cfg: dict[str, object], grid: GridSpec, role: str) -> LatticeField:
-    """Construct the configured initial position or velocity field."""
-    if role == "initial":
-        kind = cfg["initial_data"]
-        modes_key, width_key, path_key = "modes", "width", "path"
-    else:
-        kind = cfg.get("initial_velocity", "zero")
-        modes_key, width_key, path_key = "velocity_modes", "velocity_width", "velocity_path"
+    """Construct the configured initial position or velocity field; an unset kind is zero."""
+    kind_key, modes_key, width_key, path_key = _ROLES[role]
+    kind = cfg.get(kind_key, "zero")
     if kind == "zero":
         return LatticeField.zeros(grid)
     if kind == "delta":

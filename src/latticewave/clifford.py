@@ -19,8 +19,8 @@ the ``-1`` block.
 The ``dagger`` conjugation is the conjugate-linear anti-automorphism fixed by
 ``e_j^† = -e_j`` for ``j <= n`` and ``e_{n+j}^† = +e_{n+j}``.  On a blade it
 reduces to a sign (reversal plus one flip per minus-block factor), which makes
-``norm_squared`` (the scalar part of ``a^† a``) equal to the plain two-norm
-squared of the coefficient vector.
+``Multivector.norm_squared`` (the scalar part of ``a^† a``) equal to the plain
+two-norm squared of the coefficient vector.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ __all__ = [
     "MAX_DIMENSION",
     "Signature",
     "Multivector",
-    "geometric_product",
-    "dagger",
     "pseudoscalar",
-    "norm_squared",
     "mul_arrays",
     "mul_columns",
     "active_blades",
@@ -107,14 +104,9 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def active_blades(arr: np.ndarray) -> np.ndarray:
     """Ascending blade masks whose coefficient column is nonzero at some site.
 
-    At most one reduction over all leading axes; NaN counts as nonzero.
+    One reduction over all leading axes; NaN counts as nonzero.
     """
-    flat = arr.reshape(-1, arr.shape[-1])
-    if flat.size and flat[0].all():
-        # every blade is nonzero at the first site: skip the full scan, whose
-        # memory traffic costs about a tenth of an FFT of the same array
-        return np.arange(flat.shape[1])
-    return np.flatnonzero(flat.any(axis=0))
+    return np.flatnonzero(arr.reshape(-1, arr.shape[-1]).any(axis=0))
 
 
 def mul_columns(n: int, sa, a: np.ndarray, sb, b: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -287,6 +279,7 @@ class Multivector:
         return Multivector(self.sig, self.coeffs / complex(other))
 
     def dagger(self) -> "Multivector":
+        """Conjugate-linear anti-automorphism: (ab)^† = b^† a^†, e_j^† = -e_j for j <= n."""
         return Multivector(self.sig, dagger_arrays(self.sig.n, self.coeffs))
 
     @property
@@ -314,21 +307,6 @@ class Multivector:
             parts.append(f"({c:.6g})*{name}")
         body = " + ".join(parts) if parts else "0"
         return f"Multivector[n={self.sig.n}]({body})"
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product a b (associative, noncommutative)."""
-    return a * b
-
-
-def dagger(a: Multivector) -> Multivector:
-    """Conjugate-linear anti-automorphism: (ab)^† = b^† a^†, e_j^† = -e_j for j <= n."""
-    return a.dagger()
-
-
-def norm_squared(a: Multivector) -> float:
-    """Scalar part of a^† a; real and nonnegative, zero only for a = 0."""
-    return a.norm_squared()
 
 
 def pseudoscalar(sig: Signature) -> Multivector:

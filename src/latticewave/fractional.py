@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, discrete_laplacian
+from .lattice import GridSpec, LatticeField, _integer, discrete_laplacian
 from .propagators import CauchyData, TimeModel, _convolve_pair, lambda_max, solve_dirac, wave_symbols
 from .spectral import _dirac_symbol, apply_multiplier, d2_field, multiply_field, scalar_kernel
 
@@ -52,7 +52,6 @@ __all__ = [
     "heat_kernel_bessel",
     "bessel_i",
     "mittag_leffler",
-    "erfc",
     "frac_power",
     "riesz",
     "riesz_inverse",
@@ -90,7 +89,7 @@ def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
 
 def heat_euler(f: LatticeField, s: float, steps: int) -> LatticeField:
     """Explicit Euler march to time s in ``steps`` steps: heat_semigroup's first-order twin, without transforms."""
-    s = _heat_time(s)
+    s, steps = _heat_time(s), _integer(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     for _ in range(steps):
@@ -163,8 +162,7 @@ def bessel_i(k: int, u: float) -> float:
     finite, i.e. past u = log of the largest double (about 709.78), where
     e^u overflows.
     """
-    k = abs(int(k))
-    u = float(u)
+    k, u = abs(_integer(k, "Bessel order k")), float(u)
     if not math.isfinite(u):
         raise ValueError(f"Bessel argument u must be finite, got {u}")
     if u < 0:
@@ -221,11 +219,6 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
     if biggest * 5e-17 > 1e-10 * max(abs(acc), 1e-300):
         raise ValueError("Mittag-Leffler series loses too much precision to cancellation here")
     return acc
-
-
-def erfc(u: float) -> float:
-    """Complementary error function; delegates to the C library implementation."""
-    return math.erfc(float(u))
 
 
 # -- fractional powers -----------------------------------------------------------

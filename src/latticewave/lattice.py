@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """An int, a numpy integer or an integral float as an int; anything else is a ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_alpha(alpha: float) -> None:
     """The Dirac splitting parameter must lie in [0, 1/2]; NaN fails too."""
     if not (0.0 <= alpha <= 0.5):
@@ -70,7 +77,7 @@ class GridSpec:
     mass: float = 0.0
 
     def __post_init__(self) -> None:
-        shape = tuple(int(N) for N in self.shape)
+        shape = tuple(_integer(N, "points per axis") for N in self.shape)
         object.__setattr__(self, "shape", shape)
         Signature(len(shape))  # validates 1 <= n <= 5
         for N in shape:
@@ -267,7 +274,7 @@ class LatticeField(_CompactField):
     @classmethod
     def plane_wave(cls, grid: GridSpec, mode: Sequence[int]) -> "LatticeField":
         """Scalar plane wave exp(i xi_k . x) for integer mode numbers k."""
-        mode = tuple(int(m) for m in mode)
+        mode = tuple(_integer(m, "mode number") for m in mode)
         if len(mode) != grid.n:
             raise ValueError(f"mode needs {grid.n} components, got {len(mode)}")
         phase = np.zeros(grid.shape)
@@ -327,9 +334,7 @@ def shift(f: LatticeField, axis: int, steps: int) -> LatticeField:
     """
     if not (1 <= axis <= f.grid.n):
         raise ValueError(f"axis must be in 1..{f.grid.n}, got {axis}")
-    if not float(steps).is_integer():
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    return f._like(f.support, np.roll(f.columns, int(steps), axis=axis - 1))
+    return f._like(f.support, np.roll(f.columns, _integer(steps, "steps"), axis=axis - 1))
 
 
 # The Laplacian works through the leading axis in blocks of at most this many

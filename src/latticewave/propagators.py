@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, _check_alpha, align, discrete_laplacian, norm
+from .lattice import GridSpec, LatticeField, _check_alpha, _integer, align, discrete_laplacian, norm
 from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
 from .umbral import CflViolationError, DeltaOperator
 
@@ -337,34 +337,32 @@ def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: 
 # -- Chebyshev route -----------------------------------------------------------
 
 
-def chebyshev_t(k: int, x: np.ndarray) -> np.ndarray:
-    """T_k by the three-term recurrence (no trigonometric shortcuts)."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
+def _chebyshev(k: int, x: np.ndarray, p1: float) -> np.ndarray:
+    """P_k of the recurrence P_{j+1} = 2x P_j - P_{j-1} from P_0 = 1 and P_1 = p1 * x."""
     prev = np.ones_like(x)
     if k == 0:
         return prev
-    cur = x.copy()
+    cur = p1 * x
     for _ in range(k - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+def chebyshev_t(k: int, x: np.ndarray) -> np.ndarray:
+    """T_k by the three-term recurrence (no trigonometric shortcuts)."""
+    k = _integer(k, "degree")
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    return _chebyshev(k, np.asarray(x, dtype=float), 1.0)
 
 
 def chebyshev_u(k: int, x: np.ndarray) -> np.ndarray:
     """U_k by recurrence; U_{-1} = 0."""
+    k = _integer(k, "degree")
     if k < -1:
         raise ValueError("degree must be >= -1")
     x = np.asarray(x, dtype=float)
-    if k == -1:
-        return np.zeros_like(x)
-    prev = np.ones_like(x)  # U_0
-    if k == 0:
-        return prev
-    cur = 2.0 * x
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return np.zeros_like(x) if k == -1 else _chebyshev(k, x, 2.0)
 
 
 def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> LatticeField:
@@ -404,14 +402,13 @@ def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau:
     Returns the slice at t + steps*tau.  Deliberately shares no code with
     the spectral path beyond the Laplacian stencil.
     """
-    if not float(steps).is_integer():
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     tau = _positive_step(tau)
     m2 = _finite_mass(m) ** 2
     prev, cur = psi_prev, psi_cur
-    for _ in range(int(steps)):
+    for _ in range(steps):
         nxt = 2.0 * cur - prev + tau**2 * (discrete_laplacian(cur) - m2 * cur)
         prev, cur = cur, nxt
     return cur

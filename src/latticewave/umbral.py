@@ -48,6 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clifford import Multivector
+from .lattice import _integer
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -99,10 +100,6 @@ class PowerSeries:
         return len(self.coeffs)
 
     @classmethod
-    def from_exponential(cls, coeffs: Iterable) -> "PowerSeries":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
     def from_ordinary(cls, coeffs: Iterable) -> "PowerSeries":
         return cls(tuple(Fraction(c) * math.factorial(k) for k, c in enumerate(coeffs)))
 
@@ -117,14 +114,6 @@ class PowerSeries:
     def ordinary(self) -> tuple[Fraction, ...]:
         return tuple(c / math.factorial(k) for k, c in enumerate(self.coeffs))
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        K = min(self.order, other.order)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs[:K], other.coeffs[:K])))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        K = min(self.order, other.order)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs[:K], other.coeffs[:K])))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         K = min(self.order, other.order)
         return PowerSeries.from_ordinary(_ord_mul(list(self.ordinary()), list(other.ordinary()), K))
@@ -135,9 +124,6 @@ class PowerSeries:
             raise ValueError("composition requires a series with zero constant term")
         K = min(self.order, inner.order)
         return PowerSeries.from_ordinary(_ord_compose(list(self.ordinary()), list(inner.ordinary()), K))
-
-    def derivative(self) -> "PowerSeries":
-        return PowerSeries(self.coeffs[1:])
 
     def evaluate(self, x):
         """Horner evaluation of the truncated polynomial; exact for Fraction x."""
@@ -403,7 +389,9 @@ def basic_sequence(op: DeltaOperator, count: int | None = None) -> list[tuple[Fr
     m_0 = 1, m_k(0) = 0, and L_t m_k = k m_{k-1}, all exact in rational
     arithmetic (so the normalized m_k/k! are lowered with unit coefficient).
     """
-    K = op.series.order if count is None else int(count)
+    K = op.series.order if count is None else _integer(count, "count")
+    if K < 0:
+        raise ValueError(f"count must be nonnegative, got {K}")
     if K > op.series.order:
         raise ValueError(f"requested {K} polynomials but series order is {op.series.order}")
     Mo = list(op.inverse.ordinary())[:K] + [_F0] * max(0, K - op.inverse.order)

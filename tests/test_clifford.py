@@ -10,7 +10,6 @@ from latticewave import (
     Signature,
     blade_indices,
     blade_mask,
-    geometric_product,
     pseudoscalar,
 )
 from latticewave.clifford import _tables, mul_arrays
@@ -134,7 +133,6 @@ def test_arithmetic_and_scalars(rng):
     assert ((a * 2.0) / 2.0).allclose(a)
     assert (2.0 * a).allclose(a * 2.0)
     assert (1.0 - a).allclose(Multivector.scalar(sig, 1.0) - a)
-    assert geometric_product(a, b).allclose(a * b)
 
 
 def test_constructor_validation():
