@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import mul_columns
+from .clifford import _alpha, _frac_alpha, _nonnegative, _positive, mul_columns
 from .fieldio import ConfigError, cells, load_field, open_csv, store_field, write_rows
 from .fractional import (
     FracParams,
@@ -96,32 +96,16 @@ def _as_float(key: str, raw: str) -> float:
     return v
 
 
-def _positive(key: str, raw: str) -> float:
-    v = _as_float(key, raw)
-    if not v > 0:
-        raise ConfigError(f"{key}: must be positive, got {v}")
-    return v
+def _ruled(rule: Callable[[float, str], float]) -> Callable[[str, str], float]:
+    """Parser of a number held to one of the library's argument rules, its error named by the key."""
 
+    def parse(key: str, raw: str) -> float:
+        try:
+            return rule(_as_float(key, raw), f"{key}:")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
-def _nonnegative(key: str, raw: str) -> float:
-    v = _as_float(key, raw)
-    if v < 0:
-        raise ConfigError(f"{key}: must be nonnegative, got {v}")
-    return v
-
-
-def _alpha_range(key: str, raw: str) -> float:
-    v = _as_float(key, raw)
-    if not (0.0 <= v <= 0.5):
-        raise ConfigError(f"{key}: must lie in [0, 1/2], got {v}")
-    return v
-
-
-def _open_unit_half(key: str, raw: str) -> float:
-    v = _as_float(key, raw)
-    if not (0.0 < v < 0.5):
-        raise ConfigError(f"{key}: must lie strictly between 0 and 1/2, got {v}")
-    return v
+    return parse
 
 
 def _choice(key: str, raw: str, options: tuple[str, ...]) -> str:
@@ -142,7 +126,7 @@ def _int_list(key: str, raw: str) -> list[int]:
 
 
 def _alpha_list(key: str, raw: str) -> list[float]:
-    out = [_alpha_range(key, tok.strip()) for tok in raw.split(",")]
+    out = [_ruled(_alpha)(key, tok.strip()) for tok in raw.split(",")]
     if len(set(out)) < len(out):  # 0.0 == -0.0, so a signed zero repeats too
         raise ConfigError(f"{key}: repeats a value in {raw!r}")
     return out
@@ -159,20 +143,20 @@ _PARSERS: dict[str, Callable[[str, str], object]] = {
     "equation": lambda k, v: _choice(k, v, _EQUATIONS),
     "dim": lambda k, v: _as_int(k, v, 1, 3),
     "points": _points,
-    "spacing": _positive,
-    "alpha": _alpha_range,
-    "mass": _nonnegative,
+    "spacing": _ruled(_positive),
+    "alpha": _ruled(_alpha),
+    "mass": _ruled(_nonnegative),
     "time_model": lambda k, v: _choice(k, v, _TIME_MODELS),
-    "tau": _positive,
+    "tau": _ruled(_positive),
     "times": _float_list,
-    "frac_alpha": _open_unit_half,
+    "frac_alpha": _ruled(_frac_alpha),
     "initial_data": lambda k, v: _choice(k, v, _DATA_KINDS),
     "modes": _int_list,
-    "width": _positive,
+    "width": _ruled(_positive),
     "path": lambda k, v: v,
     "initial_velocity": lambda k, v: _choice(k, v, _VELOCITY_KINDS),
     "velocity_modes": _int_list,
-    "velocity_width": _positive,
+    "velocity_width": _ruled(_positive),
     "velocity_path": lambda k, v: v,
     "alphas": _alpha_list,
 }

@@ -25,6 +25,7 @@ two-norm squared of the coefficient vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -49,6 +50,48 @@ __all__ = [
 MAX_DIMENSION = 5
 
 
+# -- argument rules: every module checks its counts and real parameters here ----
+
+
+def _integer(value, name: str) -> int:
+    """An int, a numpy integer or an integral float as an int; anything else is a ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str, admits, rule: str) -> float:
+    """An int, a float or a numpy real that ``admits`` as a float; anything else is a ValueError naming ``name``."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if number and admits(float(value)):
+        return float(value)
+    raise ValueError(f"{name} must {rule}, got {value if number else repr(value)}")
+
+
+def _finite(value, name: str) -> float:
+    return _real(value, name, math.isfinite, "be finite")
+
+
+def _positive(value, name: str) -> float:
+    return _real(value, name, lambda v: 0.0 < v < math.inf, "be positive and finite")
+
+
+def _nonnegative(value, name: str) -> float:
+    """A finite value >= 0; a non-finite one is refused as not finite, a negative one as negative."""
+    _finite(value, name)
+    return _real(value, name, lambda v: v >= 0.0, "be nonnegative")
+
+
+def _alpha(value, name: str = "alpha") -> float:
+    """The Dirac splitting parameter, in [0, 1/2]; NaN fails too."""
+    return _real(value, name, lambda v: 0.0 <= v <= 0.5, "lie in [0, 1/2]")
+
+
+def _frac_alpha(value, name: str = "alpha") -> float:
+    """The fractional exponent, strictly between 0 and 1/2."""
+    return _real(value, name, lambda v: 0.0 < v < 0.5, "lie strictly between 0 and 1/2")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Dimension parameter ``n``: 2n generators, 4**n basis blades."""
@@ -56,8 +99,10 @@ class Signature:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not (1 <= self.n <= MAX_DIMENSION):
-            raise ValueError(f"dimension n must be an integer in 1..{MAX_DIMENSION}, got {self.n!r}")
+        n = _integer(self.n, "dimension n")
+        if not 1 <= n <= MAX_DIMENSION:
+            raise ValueError(f"dimension n must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
+        object.__setattr__(self, "n", n)
 
     @property
     def generators(self) -> int:
@@ -176,6 +221,7 @@ def blade_mask(sig: Signature, indices: Iterable[int]) -> int:
     """Bit mask of a canonical blade given ascending generator indices (1-based): e2 e1 = -e1 e2 is refused."""
     mask = prev = 0
     for j in indices:
+        j = _integer(j, "generator index")
         if not (1 <= j <= sig.generators):
             raise ValueError(f"generator index {j} outside 1..{sig.generators}")
         bit = 1 << (j - 1)
@@ -230,6 +276,7 @@ class Multivector:
     @classmethod
     def generator(cls, sig: Signature, j: int) -> "Multivector":
         """Generator e_j, 1-based; j <= n squares to -1, j > n to +1."""
+        j = _integer(j, "generator index")
         if not (1 <= j <= sig.generators):
             raise ValueError(f"generator index {j} outside 1..{sig.generators}")
         c = np.zeros(sig.blades, dtype=complex)

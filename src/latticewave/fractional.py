@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, _integer, discrete_laplacian
+from .clifford import _frac_alpha, _integer, _nonnegative, _positive
+from .lattice import GridSpec, LatticeField, discrete_laplacian
 from .propagators import CauchyData, TimeModel, _convolve_pair, lambda_max, solve_dirac, wave_symbols
 from .spectral import _dirac_symbol, apply_multiplier, d2_field, multiply_field, scalar_kernel
 
@@ -73,12 +74,7 @@ SUBORDINATION_DECAY = 40.0
 
 
 def _heat_time(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"heat time s must be finite, got {s}")
-    if s < 0:
-        raise ValueError(f"heat time s must be nonnegative, got {s}")
-    return s
+    return _nonnegative(s, "heat time s")
 
 
 def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
@@ -162,11 +158,7 @@ def bessel_i(k: int, u: float) -> float:
     finite, i.e. past u = log of the largest double (about 709.78), where
     e^u overflows.
     """
-    k, u = abs(_integer(k, "Bessel order k")), float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"Bessel argument u must be finite, got {u}")
-    if u < 0:
-        raise ValueError(f"Bessel argument u must be nonnegative, got {u}")
+    k, u = abs(_integer(k, "Bessel order k")), _nonnegative(u, "Bessel argument u")
     try:
         scale = math.exp(u)
     except OverflowError:
@@ -240,10 +232,8 @@ class FracParams:
     m: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie strictly between 0 and 1/2, got {self.alpha}")
-        if not 0 < self.m < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
+        _frac_alpha(self.alpha)
+        _positive(self.m, "mass")
 
 
 def _power_multiplier(grid: GridSpec, m: float, exponent: float) -> np.ndarray:

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import Multivector, Signature, active_blades, dagger_arrays, mul_arrays, mul_columns
+from .clifford import (Multivector, Signature, _alpha, _integer, _nonnegative, _positive, active_blades, dagger_arrays,
+                       mul_arrays, mul_columns)
 
 __all__ = [
     "GridSpec",
@@ -45,19 +46,6 @@ __all__ = [
     "relative_gap",
     "random_field",
 ]
-
-
-def _integer(value, name: str) -> int:
-    """An int, a numpy integer or an integral float as an int; anything else is a ValueError naming ``name``."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_alpha(alpha: float) -> None:
-    """The Dirac splitting parameter must lie in [0, 1/2]; NaN fails too."""
-    if not (0.0 <= alpha <= 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +71,13 @@ class GridSpec:
         for N in shape:
             if N <= 0 or N % 2 != 0:
                 raise ValueError(f"points per axis must be even and positive, got {N}")
-        if not (0 < self.h < np.inf):
-            raise ValueError(f"spacing h must be positive and finite, got {self.h}")
+        _positive(self.h, "spacing h")  # h, alpha and mass are kept as given: the field CSV header repeats them
         with np.errstate(all="ignore"):  # the symbols scale by 4/h**2, the transforms by h**n
             h2, hn = np.float64(self.h) ** 2, np.float64(self.h) ** len(shape)
             if not all(0.0 < q < np.inf for q in (h2, hn, 4.0 / h2, 1.0 / hn)):
                 raise ValueError(f"h={self.h!r} takes h**2, h**n or their inverses out of the finite nonzero floats")
-        _check_alpha(self.alpha)
-        if not (0 <= self.mass < np.inf):
-            raise ValueError(f"mass must be nonnegative and finite, got {self.mass}")
+        _alpha(self.alpha)
+        _nonnegative(self.mass, "mass")
 
     @property
     def n(self) -> int:
@@ -188,7 +174,7 @@ class _CompactField:
         """Multivector at a site index (periodic wrap applies)."""
         if len(index) != self.grid.n:  # before zip, which drops extra indices
             raise ValueError(f"need {self.grid.n} indices")
-        idx = tuple(int(i) % N for i, N in zip(index, self.grid.shape))
+        idx = tuple(_integer(i, "site index") % N for i, N in zip(index, self.grid.shape))
         coeffs = np.zeros(self.grid.blades, dtype=complex)
         coeffs[list(self.support)] = self.columns[idx]
         return Multivector(self.grid.sig, coeffs)
@@ -288,8 +274,7 @@ class LatticeField(_CompactField):
     @classmethod
     def gaussian(cls, grid: GridSpec, width: float) -> "LatticeField":
         """Scalar exp(-|x|^2 / (2 width^2)), each coordinate h*k wrapped into (-Nh/2, Nh/2]."""
-        if not 0 < width < np.inf:
-            raise ValueError(f"gaussian width must be positive and finite, got {width}")
+        width = _positive(width, "gaussian width")
         r2 = np.zeros(grid.shape)
         for axis, N in enumerate(grid.shape):
             k = np.arange(N)
@@ -332,6 +317,7 @@ def shift(f: LatticeField, axis: int, steps: int) -> LatticeField:
     Returns the field ``x -> f(x - steps*h*e_axis)``; a delta at the origin
     shifted by +1 sits at site index 1 of that axis.
     """
+    axis = _integer(axis, "axis")
     if not (1 <= axis <= f.grid.n):
         raise ValueError(f"axis must be in 1..{f.grid.n}, got {axis}")
     return f._like(f.support, np.roll(f.columns, _integer(steps, "steps"), axis=axis - 1))

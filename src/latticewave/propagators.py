@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GridSpec, LatticeField, _check_alpha, _integer, align, discrete_laplacian, norm
+from .clifford import _alpha, _finite, _integer, _positive
+from .lattice import GridSpec, LatticeField, align, discrete_laplacian, norm
 from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
 from .umbral import CflViolationError, DeltaOperator
 
@@ -89,28 +90,13 @@ class CauchyData:
         return self.phi0.grid
 
 
-def _finite_mass(m: float) -> float:
-    # any sign: the sign of -m gamma matters for Dirac
-    m = float(m)
-    if not np.isfinite(m):
-        raise ValueError(f"mass m must be finite, got {m}")
-    return m
-
-
-def _positive_step(tau: float) -> float:
-    tau = float(tau)
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    return tau
-
-
 def lambda_field(grid: GridSpec, m: float) -> np.ndarray:
     """sqrt(d(xi)**2 + m**2) over the momentum grid."""
-    return np.sqrt(d2_field(grid) + _finite_mass(m) ** 2)
+    return np.sqrt(d2_field(grid) + _finite(m, "mass m") ** 2)  # any sign: the sign of -m gamma matters for Dirac
 
 
 def lambda_max(grid: GridSpec, m: float) -> float:
-    return float(np.sqrt(4.0 * grid.n / grid.h**2 + _finite_mass(m) ** 2))
+    return float(np.sqrt(4.0 * grid.n / grid.h**2 + _finite(m, "mass m") ** 2))
 
 
 def wave_symbols(grid: GridSpec, time: TimeModel, m: float, t: float):
@@ -147,20 +133,20 @@ class Propagator:
     """
 
     def __init__(self, data: CauchyData, m: float):
-        self.grid, self.m, self.alpha = data.grid, _finite_mass(m), None
+        self.grid, self.m, self.alpha = data.grid, _finite(m, "mass m"), None
         self._data = data
         self._spectra = None  # (lambda, F Phi0, F Phi1), made by the first slice
 
     @classmethod
     def dirac(cls, phi0: LatticeField, alpha: float, m: float) -> "Propagator":
-        _check_alpha(alpha)
+        alpha = _alpha(alpha)
         plan = cls(CauchyData.rest(phi0), m)  # its zero Phi1 is never read: the first slice derives Phi1
-        plan.alpha = float(alpha)
+        plan.alpha = alpha
         return plan
 
     def _checked(self, m: float, alpha: float | None = None) -> "Propagator":
         """The plan itself, if it was built for this mass and flow."""
-        if (float(m), alpha) != (self.m, self.alpha):
+        if (_finite(m, "mass m"), alpha) != (self.m, self.alpha):
             raise ValueError(f"plan built for m={self.m}, alpha={self.alpha}; asked for m={m}, alpha={alpha}")
         return self
 
@@ -226,8 +212,8 @@ def kg_residual(psi_prev: LatticeField, psi_mid: LatticeField, psi_next: Lattice
     norm([next - 2 mid + prev]/tau^2 - Laplacian mid + m^2 mid), divided by
     the larger of the two sides' norms; zero fields give zero.
     """
-    quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / _positive_step(tau) ** 2)
-    return _relative_residual(quot, discrete_laplacian(psi_mid) - (_finite_mass(m) ** 2) * psi_mid)
+    quot = (psi_next - 2.0 * psi_mid + psi_prev) * (1.0 / _positive(tau, "tau") ** 2)
+    return _relative_residual(quot, discrete_laplacian(psi_mid) - (_finite(m, "mass m") ** 2) * psi_mid)
 
 
 def _richardson(plan: Propagator, t: float, psi: LatticeField | None, rhs_of, quotient):
@@ -290,7 +276,7 @@ def _dirac_velocity(F: SpectralField, alpha: float, m: float) -> LatticeField:
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
     """Cauchy pair (Phi0, i(D - m gamma)Phi0) that drives the first-order flow."""
-    _check_alpha(alpha)
+    alpha = _alpha(alpha)
     return CauchyData(phi0, _dirac_velocity(dft(phi0), alpha, m))
 
 
@@ -305,7 +291,7 @@ def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, 
     """
     if isinstance(phi0, Propagator):
         return phi0._checked(m, alpha).at(time, t)
-    _check_alpha(alpha)
+    alpha = _alpha(alpha)
     c, s = wave_symbols(phi0.grid, time, m, t)
     F0 = dft(phi0)
     return _combine(F0, _velocity_spectrum(F0, alpha, m), c, s, owned=True)
@@ -314,8 +300,8 @@ def solve_dirac(phi0: LatticeField | Propagator, time: TimeModel, alpha: float, 
 def dirac_residual(psi_minus: LatticeField, psi_mid: LatticeField, psi_plus: LatticeField,
                    alpha: float, m: float, tau: float) -> float:
     """Relative residual of [Psi(t+tau/2) - Psi(t-tau/2)]/tau = i(D - m gamma) Psi(t)."""
-    quot = (psi_plus - psi_minus) * (1.0 / _positive_step(tau))
-    m = _finite_mass(m)  # before the transform
+    quot = (psi_plus - psi_minus) * (1.0 / _positive(tau, "tau"))
+    m = _finite(m, "mass m")  # before the transform
     return _relative_residual(quot, _dirac_velocity(dft(psi_mid), alpha, m))
 
 
@@ -373,14 +359,12 @@ def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> Lattice
     stability bound (chi real) and must agree with solve_kg on the
     central-difference model.
     """
-    tau, t = _positive_step(tau), float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
+    tau, t = _positive(tau, "tau"), _finite(t, "time t")
     kf = 2.0 * t / tau
     k = round(kf)
     if abs(kf - k) > 1e-9 * max(1.0, abs(kf)) or k < 0:
         raise ValueError(f"2t/tau must be a nonnegative integer, got {kf}")
-    lam2 = d2_field(data.grid) + _finite_mass(m) ** 2
+    lam2 = d2_field(data.grid) + _finite(m, "mass m") ** 2
     arg = 1.0 - tau**2 / 4.0 * lam2
     if np.any(arg < 0.0):
         raise CflViolationError(float(np.sqrt(lam2.max())), 2.0 / tau)
@@ -405,8 +389,8 @@ def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau:
     steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    tau = _positive_step(tau)
-    m2 = _finite_mass(m) ** 2
+    tau = _positive(tau, "tau")
+    m2 = _finite(m, "mass m") ** 2
     prev, cur = psi_prev, psi_cur
     for _ in range(steps):
         nxt = 2.0 * cur - prev + tau**2 * (discrete_laplacian(cur) - m2 * cur)

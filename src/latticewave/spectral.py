@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import Multivector, Signature, mul_arrays, mul_columns, pseudoscalar
-from .lattice import GridSpec, LatticeField, _check_alpha, _CompactField, discrete_laplacian, norm
+from .clifford import Multivector, Signature, _alpha, mul_arrays, mul_columns, pseudoscalar
+from .lattice import GridSpec, LatticeField, _CompactField, discrete_laplacian, norm
 
 __all__ = [
     "SpectralField",
@@ -305,8 +305,7 @@ def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
     At alpha = 0 it coincides with the position-space ``dirac_kahler``
     stencil; for every alpha its square is minus the discrete Laplacian.
     """
-    alpha = f.grid.alpha if alpha is None else alpha
-    _check_alpha(alpha)
+    alpha = _alpha(f.grid.alpha if alpha is None else alpha)
     return multiply_field(f, _z_symbol(f.grid, alpha))
 
 

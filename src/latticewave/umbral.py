@@ -47,8 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector
-from .lattice import _integer
+from .clifford import Multivector, _finite, _integer, _positive
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -258,15 +257,15 @@ class DeltaOperator:
     @classmethod
     def central_difference(cls, tau: float, allow_unstable: bool = False) -> "DeltaOperator":
         """L(s) = (2/tau) sinh(tau s / 2); past the CFL bound it raises unless ``allow_unstable``."""
-        return cls(tau=float(tau), allow_unstable=bool(allow_unstable))
+        return cls(tau=_positive(tau, "tau"), allow_unstable=bool(allow_unstable))  # None would be the derivative
 
     @classmethod
     def from_series(cls, series: PowerSeries) -> "DeltaOperator":
         return cls(custom=series)
 
     def __post_init__(self) -> None:
-        if self.tau is not None and not 0 < self.tau < np.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _positive(self.tau, "tau"))
         if self.custom is not None:
             cs = self.custom.coeffs
             if self.tau is not None:
@@ -291,9 +290,7 @@ class DeltaOperator:
         return compositional_inverse(self.series)
 
     def validate_time(self, t: float) -> float:
-        t = float(t)
-        if not np.isfinite(t):
-            raise ValueError(f"time t must be finite, got {t}")
+        t = _finite(t, "time t")
         if self.tau is not None:
             k = 2.0 * t / self.tau
             if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
@@ -439,10 +436,7 @@ def _finite_egf_input(s: Multivector, t: float) -> float:
     """The time t as a float, once s and t are finite: otherwise the sum is NaN or overflows."""
     if not np.all(np.isfinite(s.coeffs)):
         raise ValueError("generating-function argument s must have finite coefficients")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
-    return t
+    return _finite(t, "time t")
 
 
 def egf_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:

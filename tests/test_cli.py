@@ -73,6 +73,21 @@ def test_value_validation(tmp_path, overrides, fragment):
         load_config(_config(tmp_path, **cfg))
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(spacing=0.0), "spacing: must be positive and finite, got 0.0"),
+    (dict(time_model="central_difference", tau=-0.5), "tau: must be positive and finite, got -0.5"),
+    (dict(initial_data="gaussian", width=0), "width: must be positive and finite, got 0.0"),
+    (dict(mass=-1), "mass: must be nonnegative, got -1.0"),
+    (dict(alpha=0.7), "alpha: must lie in [0, 1/2], got 0.7"),
+    (dict(alphas="0.25, 0.6"), "alphas: must lie in [0, 1/2], got 0.6"),
+    (dict(frac_alpha=0.5), "frac_alpha: must lie strictly between 0 and 1/2, got 0.5"),
+], ids=["spacing", "tau", "width", "mass", "alpha", "alphas", "frac_alpha"])
+def test_a_value_outside_its_rule_gets_the_library_message_under_its_key(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(_config(tmp_path, **{**KG, **overrides}))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
