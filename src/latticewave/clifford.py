@@ -53,11 +53,14 @@ MAX_DIMENSION = 5
 # -- argument rules: every module checks its counts and real parameters here ----
 
 
-def _integer(value, name: str) -> int:
-    """An int, a numpy integer or an integral float as an int; anything else is a ValueError naming ``name``."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, lo: int | None = None) -> int:
+    """An int, a numpy integer or an integral float as an int, at least ``lo`` if given; anything else
+    is a ValueError naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {int(value)}")
+    return int(value)
 
 
 def _real(value, name: str, admits, rule: str) -> float:

@@ -85,9 +85,7 @@ def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
 
 def heat_euler(f: LatticeField, s: float, steps: int) -> LatticeField:
     """Explicit Euler march to time s in ``steps`` steps: heat_semigroup's first-order twin, without transforms."""
-    s, steps = _heat_time(s), _integer(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    s, steps = _heat_time(s), _integer(steps, "steps", 1)
     for _ in range(steps):
         f = f + (s / steps) * discrete_laplacian(f)
     return f

@@ -276,7 +276,7 @@ def _dirac_velocity(F: SpectralField, alpha: float, m: float) -> LatticeField:
 
 def dirac_data(phi0: LatticeField, alpha: float, m: float) -> CauchyData:
     """Cauchy pair (Phi0, i(D - m gamma)Phi0) that drives the first-order flow."""
-    alpha = _alpha(alpha)
+    alpha, m = _alpha(alpha), _finite(m, "mass m")  # before the transform
     return CauchyData(phi0, _dirac_velocity(dft(phi0), alpha, m))
 
 
@@ -336,17 +336,13 @@ def _chebyshev(k: int, x: np.ndarray, p1: float) -> np.ndarray:
 
 def chebyshev_t(k: int, x: np.ndarray) -> np.ndarray:
     """T_k by the three-term recurrence (no trigonometric shortcuts)."""
-    k = _integer(k, "degree")
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    k = _integer(k, "degree", 0)
     return _chebyshev(k, np.asarray(x, dtype=float), 1.0)
 
 
 def chebyshev_u(k: int, x: np.ndarray) -> np.ndarray:
     """U_k by recurrence; U_{-1} = 0."""
-    k = _integer(k, "degree")
-    if k < -1:
-        raise ValueError("degree must be >= -1")
+    k = _integer(k, "degree", -1)
     x = np.asarray(x, dtype=float)
     return np.zeros_like(x) if k == -1 else _chebyshev(k, x, 2.0)
 
@@ -386,9 +382,7 @@ def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau:
     Returns the slice at t + steps*tau.  Deliberately shares no code with
     the spectral path beyond the Laplacian stencil.
     """
-    steps = _integer(steps, "steps")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _integer(steps, "steps", 0)
     tau = _positive(tau, "tau")
     m2 = _finite(m, "mass m") ** 2
     prev, cur = psi_prev, psi_cur

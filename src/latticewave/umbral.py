@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, _finite, _integer, _positive
+from .clifford import Multivector, _finite, _integer, _nonnegative, _positive
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -386,9 +386,7 @@ def basic_sequence(op: DeltaOperator, count: int | None = None) -> list[tuple[Fr
     m_0 = 1, m_k(0) = 0, and L_t m_k = k m_{k-1}, all exact in rational
     arithmetic (so the normalized m_k/k! are lowered with unit coefficient).
     """
-    K = op.series.order if count is None else _integer(count, "count")
-    if K < 0:
-        raise ValueError(f"count must be nonnegative, got {K}")
+    K = op.series.order if count is None else _integer(count, "count", 0)
     if K > op.series.order:
         raise ValueError(f"requested {K} polynomials but series order is {op.series.order}")
     Mo = list(op.inverse.ordinary())[:K] + [_F0] * max(0, K - op.inverse.order)
@@ -494,7 +492,7 @@ def wave_multipliers(op: DeltaOperator, lam: float, t: float):
     allows unstable evaluation, and then the analytic continuation through
     complex asin is returned (growing, complex off integer steps).
     """
-    c, s = wave_multiplier_arrays(op, np.asarray([float(lam)]), t)
+    c, s = wave_multiplier_arrays(op, np.asarray([_nonnegative(lam, "frequencies")]), t)
     cv, sv = c[0], s[0]
     if not np.iscomplexobj(c):
         return float(cv), float(sv)
@@ -508,7 +506,7 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float):
         raise ValueError("frequencies must be nonnegative")
     if not np.all(np.isfinite(lam)):
         raise ValueError("frequencies must be finite")
-    t = float(t)
+    t = _finite(t, "time t")
     phi = op.phase(lam, t)
     safe = np.where(lam == 0.0, 1.0, lam)
     return np.cos(phi), np.where(lam == 0.0, t * op.inverse_slope, np.sin(phi) / safe)

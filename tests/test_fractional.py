@@ -451,5 +451,5 @@ def test_p_t_slices_solve_the_wave_equation(rng):
 
 @pytest.mark.parametrize("steps", [0, -1])
 def test_heat_euler_needs_a_step(steps):
-    with pytest.raises(ValueError, match=f"steps must be positive, got {steps}"):
+    with pytest.raises(ValueError, match=f"steps must be at least 1, got {steps}"):
         fractional.heat_euler(LatticeField.delta(GridSpec((4,), 1.0)), 0.5, steps)

@@ -23,13 +23,17 @@ from latticewave import (
     blade_mask,
     chebyshev_t,
     chebyshev_u,
+    dirac_data,
     frac_power,
     heat_euler,
     heat_semigroup,
     kg_residual,
+    leapfrog_march,
     lambda_max,
     shift,
     solve_kg,
+    wave_multiplier_arrays,
+    wave_multipliers,
 )
 
 GRID = GridSpec((8,), 1.0)
@@ -63,8 +67,25 @@ def test_a_fractional_count_is_a_named_error(call):
 
 
 def test_a_negative_basic_sequence_count_is_refused():
-    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="count must be at least 0, got -1"):
         basic_sequence(DeltaOperator.derivative(), -1)
+
+
+BELOW = {
+    "chebyshev-t-degree": (lambda k: chebyshev_t(k, X), "degree", 0),
+    "chebyshev-u-degree": (lambda k: chebyshev_u(k, X), "degree", -1),
+    "leapfrog-steps": (lambda k: leapfrog_march(FIELD, FIELD, 1.0, 0.5, k), "steps", 0),
+    "basic-sequence-count": (lambda k: basic_sequence(DeltaOperator.derivative(), k), "count", 0),
+    "heat-euler-steps": (lambda k: heat_euler(FIELD, 0.1, k), "steps", 1),
+}
+
+
+@pytest.mark.parametrize("call,name,lo", BELOW.values(), ids=BELOW.keys())
+def test_a_count_below_its_bound_is_refused_in_one_shape(call, name, lo):
+    for k in (lo - 1, float(lo - 3), np.int64(lo - 2)):
+        with pytest.raises(ValueError, match=f"^{name} must be at least {lo}, got {int(k)}$"):
+            call(k)
+    call(lo)  # the bound itself is a count
 
 
 ACCEPTED = {
@@ -90,6 +111,7 @@ def test_a_numpy_dimension_is_its_integer():
 
 
 CONTINUOUS = TimeModel.continuous()
+LAM = np.linspace(0.0, 1.9, 5)
 REAL_REFUSED = {
     "solve-kg-time": (lambda v: solve_kg(DATA, CONTINUOUS, 1.0, v), "time t must be finite"),
     "kg-residual-step": (lambda v: kg_residual(FIELD, FIELD, FIELD, 1.0, v), "tau must be positive and finite"),
@@ -103,6 +125,10 @@ REAL_REFUSED = {
     "gaussian-width": (lambda v: LatticeField.gaussian(GRID, v), "gaussian width must be positive and finite"),
     "frac-params-mass": (lambda v: FracParams(0.25, v), "mass must be positive and finite"),
     "frac-params-alpha": (lambda v: FracParams(v, 1.0), "alpha must lie strictly between 0 and 1/2"),
+    "wave-multipliers-time": (lambda v: wave_multipliers(CONTINUOUS, 0.5, v), "time t must be finite"),
+    "wave-multipliers-frequency": (lambda v: wave_multipliers(CONTINUOUS, v, 1.0), "frequencies must be finite"),
+    "wave-multiplier-arrays-time": (lambda v: wave_multiplier_arrays(CONTINUOUS, LAM, v), "time t must be finite"),
+    "dirac-data-mass": (lambda v: dirac_data(FIELD, 0.25, v), "mass m must be finite"),
 }
 
 
@@ -119,7 +145,6 @@ def test_a_string_step_is_refused_by_the_delta_operator():
         DeltaOperator(tau="0.5")
 
 
-LAM = np.linspace(0.0, 1.9, 5)
 REAL_ACCEPTED = {
     "solve-kg-time": lambda v: solve_kg(DATA, CONTINUOUS, 1.0, v).columns,
     "kg-residual-step": lambda v: np.float64(kg_residual(FIELD, 0.5 * FIELD, FIELD, 1.0, v)),
@@ -130,6 +155,10 @@ REAL_ACCEPTED = {
     "lambda-max-mass": lambda v: np.float64(lambda_max(GRID, v)),
     "gaussian-width": lambda v: LatticeField.gaussian(GRID, v).columns,
     "frac-params-mass": lambda v: frac_power(FIELD, FracParams(0.25, v)).columns,
+    "wave-multipliers-time": lambda v: np.array(wave_multipliers(CONTINUOUS, 0.7, v)),
+    "wave-multipliers-frequency": lambda v: np.array(wave_multipliers(CONTINUOUS, v, 0.7)),
+    "wave-multiplier-arrays-time": lambda v: np.stack(wave_multiplier_arrays(CONTINUOUS, LAM, v)),
+    "dirac-data-mass": lambda v: dirac_data(FIELD, 0.25, v).phi1.columns,
 }
 
 
@@ -137,3 +166,24 @@ REAL_ACCEPTED = {
 def test_an_int_or_numpy_real_counts_as_its_float(call):
     for value, same in ((2, 2.0), (np.int64(2), 2.0), (np.float32(1.1), float(np.float32(1.1)))):
         assert call(value).tobytes() == call(same).tobytes(), value
+
+
+NON_FINITE = {
+    "wave-multipliers-time": (lambda v: wave_multipliers(CONTINUOUS, 0.5, v), "time t must be finite"),
+    "wave-multipliers-frequency": (lambda v: wave_multipliers(CONTINUOUS, v, 1.0), "frequencies must be finite"),
+    "wave-multiplier-arrays-time": (lambda v: wave_multiplier_arrays(CONTINUOUS, LAM, v), "time t must be finite"),
+    "dirac-data-mass": (lambda v: dirac_data(FIELD, 0.25, v), "mass m must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call,message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_non_finite_real_parameter_is_a_named_error(call, message, value):
+    # wave_multipliers(op, 0.5, inf) used to return (nan, nan)
+    with pytest.raises(ValueError, match=f"{message}, got {value}"):
+        call(value)
+
+
+def test_a_negative_frequency_is_refused_by_name():
+    with pytest.raises(ValueError, match="frequencies must be nonnegative, got -1.0"):
+        wave_multipliers(CONTINUOUS, -1.0, 1.0)

@@ -422,6 +422,13 @@ def test_scalar_wrapper_matches_arrays():
     assert s == pytest.approx(complex(sa[0]))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+def test_multiplier_arrays_refuse_a_non_finite_frequency(lam):
+    # wave_multipliers refuses a non-finite scalar before it reaches the array path
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        wave_multiplier_arrays(DeltaOperator.derivative(), np.array([1.0, lam]), 0.5)
+
+
 def test_multipliers_refuse_a_negative_frequency():
     with pytest.raises(ValueError, match="frequencies must be nonnegative"):
         wave_multiplier_arrays(DeltaOperator.derivative(), np.array([1.0, -1.0]), 0.5)
