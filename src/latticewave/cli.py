@@ -14,7 +14,9 @@ special-function domain guard, a non-finite kernel, or ``--tolerance``
 exceeded).  The field CSV format and the row writer of every output CSV live
 in ``fieldio``; ``store_field``, ``load_field`` and ``ConfigError`` are re-exported.
 On Linux, ``evolve`` and ``kernel`` hand each large output field to a forked
-writer process while a CPU is spare, and compute the next one meanwhile.
+writer process while a CPU is spare, and compute the next one meanwhile;
+``fieldio._spare_cpus`` counts the spare CPUs for them and for the forked
+reader that ``load_field`` splits a large input field with.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .clifford import _alpha, _frac_alpha, _nonnegative, _positive, mul_columns
-from .fieldio import ConfigError, cells, load_field, open_csv, store_field, write_rows
+from .fieldio import ConfigError, _child, _spare_cpus, cells, load_field, open_csv, store_field, write_rows
 from .fractional import (
     FracParams,
     fractional_symbols,
@@ -310,31 +312,6 @@ def _enforce_tolerance(args, worst) -> int:
 _WRITER_ROWS = 1 << 14
 
 
-def _spare_cpus() -> int:
-    """How many writers may run beside this process: usable CPUs less one, and 0 where os cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
-
-
-def _writer(pipe: int, field: LatticeField, path: str, kw: dict) -> NoReturn:
-    """A forked writer's whole life: one file through store_field, then _exit, so none of the
-    parent's cleanup runs here.  Exit 0 when written; 2 with a ConfigError's message sent down
-    ``pipe``; 1 on anything else, its traceback printed."""
-    code = 1
-    try:
-        store_field(field, path, **kw)
-        code = 0
-    except ConfigError as exc:
-        code = 2
-        os.write(pipe, str(exc).encode())
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:  # also when a handler above raises
-        os._exit(code)
-
-
 class _Run:
     """The pipeline that evolve, kernel and spectrum share: validate, compute, export.
 
@@ -419,7 +396,7 @@ class _Run:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _writer(write, field, path, kw)
+                    _child(write, lambda: store_field(field, path, **kw))
                 self.writers[pid] = (read, path)
                 return
             except OSError:  # no process to spare: the write stays here
@@ -447,7 +424,7 @@ class _Run:
             del self.writers[pid]
             code = os.waitstatus_to_exitcode(status)
             if code and failure is None:
-                failure = ConfigError(message.decode(errors="replace")) if code == 2 else RuntimeError(
+                failure = ConfigError(message.decode(errors="surrogatepass")) if code == 2 else RuntimeError(
                     f"the output writer of {path} ended with exit code {code}")
         if failure is not None:
             raise failure

@@ -71,6 +71,15 @@ def _real(value, name: str, admits, rule: str) -> float:
     raise ValueError(f"{name} must {rule}, got {value if number else repr(value)}")
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """An array of ints, floats or numpy reals as a float array; a string, or an array of strings
+    or objects, is a ValueError naming ``name`` as the scalar rules name it."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be finite, got {values!r}")
+    return array.astype(float, copy=False)
+
+
 def _finite(value, name: str) -> float:
     return _real(value, name, math.isfinite, "be finite")
 

@@ -11,14 +11,24 @@ blank lines and lines that start with ``#``; a ``#`` anywhere else belongs
 to its cell, so the row is malformed.  ``write_rows`` emits every CSV row
 the package writes: field rows, heat-kernel pairs and the ``spectrum``
 sweep.  A file that cannot be read or written is a ``ConfigError``.
+
+The reader parses the data in chunks of bytes, each completed to a line
+end.  On Linux, a file with at least ``_READER_BYTES`` of data has every odd
+chunk parsed by one forked reader while a CPU is spare and no other thread
+runs; it sends each chunk's rows down a pipe and the parent scatters every
+chunk in file order, so the result and the first error are those of an
+inline parse.  ``_spare_cpus`` is the rule the ``cli`` output writers share.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
-from typing import Iterable, Sequence
+import sys
+import threading
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -97,17 +107,44 @@ def store_field(f: LatticeField, path: str, *, s: float | None = None, spectral:
             write_rows(fh, (i,), tails[sites].tolist(), [labels[blades].tolist()], values)
 
 
-_CHUNK_CHARS = 1 << 18  # text handed to one np.loadtxt call; bounds the reader's memory
+_CHUNK_BYTES = 1 << 18  # bytes handed to one np.loadtxt call, completed to a line end; bounds the reader's memory
 # a comment line, or one of whitespace only (str.isspace, as str.strip sees it); the lookahead turns a
 # data line away at its first character
 _SKIPPED_LINE = re.compile(r"\n(?=[#\s])(?:#[^\n]*|[^\S\n]+(?=\n|$))")
+# Data of at least this many bytes (after the header) is split with a forked reader when a CPU is
+# spare.  On a 2-vCPU Xeon the split cost 7-33 ms more CPU than an inline parse: 21-100 % of the
+# half parse it moves at 3.4 MB, 7-24 % at 6.8 MB and under 30 % at 14 MB.  From 2**23 bytes up the
+# extra CPU is about a quarter of the moved parse or less, the rule of the writers' threshold
+_READER_BYTES = 1 << 23
+# asked of F_SETPIPE_SZ for the reader's pipe, Linux's cap for unprivileged processes: a few chunks
+# of rows in flight, so that the two processes do not run in lockstep as with the default 64 KiB
+_PIPE_BYTES = 1 << 20
+
+
+def _spare_cpus() -> int:
+    """How many processes may run beside this one: usable CPUs less one, and 0 where os cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """A field file that cannot be read, or is not UTF-8, as a ConfigError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_grid(fh, path: str) -> GridSpec:
-    """Grid from the ``#`` lines before the header; reads through the header."""
+    """Grid from the ``#`` lines before the header; reads ``fh`` (binary) through the header."""
     meta: dict[str, str] = {}
     header = None
-    for line in fh:
+    for raw in fh:
+        line = raw.decode("utf-8")
         if line.startswith("#"):
             inner = line[1:].strip()
             if "=" in inner:
@@ -127,6 +164,11 @@ def _read_grid(fh, path: str) -> GridSpec:
     if header != [f"x{a + 1}" for a in range(grid.n)] + ["blade", "re", "im"]:
         raise ConfigError(f"{path}: unexpected header {header!r}")
     return grid
+
+
+def _chunks(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` (binary) in chunks of ``_CHUNK_BYTES``, each completed to a line end."""
+    return iter(lambda: fh.read(_CHUNK_BYTES) + fh.readline(), b"")
 
 
 def _data_lines(text: str) -> list[str]:
@@ -164,52 +206,184 @@ def _parse_blade(path: str, grid: GridSpec, label: str) -> int:
         raise ConfigError(f"{path}: bad blade label {label!r}: {exc}") from None
 
 
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # flat site index, blade mask, re, im
+
+
+def _row_parser(path: str, grid: GridSpec) -> Callable[[bytes], _Rows]:
+    """The parse of one chunk of a field file's data lines into its rows.
+
+    ``np.loadtxt`` parses the chunk; sites are range-checked and labels mapped
+    to blade masks through a sorted table of the grid's canonical labels.  A
+    label outside the table (another spelling or an invalid one), or in a
+    chunk with a NUL, is parsed from its line as written.
+    """
+    canonical = [_blade_label(mask) for mask in range(grid.blades)]
+    width = max(map(len, canonical)) + 1  # spare character: a truncated long label matches none
+    dtype = np.dtype(
+        [(f"x{a + 1}", np.int64) for a in range(grid.n)]
+        + [("blade", f"U{width}"), ("re", np.float64), ("im", np.float64)]
+    )
+    masks_by_label = np.argsort(canonical)
+    labels = np.array(canonical, dtype=dtype["blade"])[masks_by_label]
+
+    def parse(chunk: bytes) -> _Rows:
+        # a leading newline puts every line, the first too, after a "\n"
+        text = _SKIPPED_LINE.sub("\n", "\n" + chunk.decode("utf-8"))
+        rows = _parse_rows(path, text, dtype)
+        sites = tuple(rows[f"x{a + 1}"] for a in range(grid.n))
+        for axis, (col, N) in enumerate(zip(sites, grid.shape)):
+            outside = (col < 0) | (col >= N)
+            if outside.any():
+                j = col[outside.argmax()]
+                raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
+        at = np.minimum(np.searchsorted(labels, rows["blade"]), grid.blades - 1)
+        masks = masks_by_label[at]
+        unmatched = labels[at] != rows["blade"]
+        if "\x00" in text:  # the text dtype drops a label's trailing NULs: read such rows as written
+            unmatched |= ["\x00" in line for line in _data_lines(text)]
+        if unmatched.any():
+            lines = _data_lines(text)
+            for i in np.flatnonzero(unmatched):
+                masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
+        return np.ravel_multi_index(sites, grid.shape), masks, rows["re"], rows["im"]
+
+    return parse
+
+
+def _scatter(f: LatticeField, flat: np.ndarray, masks: np.ndarray, real: np.ndarray, imag: np.ndarray) -> LatticeField:
+    """``f`` with one chunk's rows written in, in row order: a repeated (site, blade) keeps its last value."""
+    f = f._widened(masks)  # rows of a new blade widen the support; load_field's columns are its own
+    at = np.searchsorted(f.support, masks)
+    cols = f.columns.reshape(f.grid.site_count, len(f.support))
+    cols.real[flat, at] = real
+    cols.imag[flat, at] = imag
+    return f
+
+
+def _send(pipe: int, *arrays: np.ndarray) -> None:
+    """The bytes of each array down ``pipe``, in order."""
+    for array in arrays:
+        view = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+        while view:
+            view = view[os.write(pipe, view):]
+
+
+def _fill(pipe, array: np.ndarray, path: str) -> None:
+    """``array`` filled from the reader's ``pipe``; a pipe that ends first is a RuntimeError."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise RuntimeError(f"the field reader of {path} ended before sending its rows")
+        view = view[got:]
+
+
+def _receive(pipe, path: str) -> _Rows:
+    """The rows of the reader's next chunk; the ConfigError it sent in their place is raised here."""
+    head = np.empty(1, np.int64)
+    _fill(pipe, head, path)
+    if head[0] < 0:
+        raise ConfigError(pipe.readall().decode(errors="surrogatepass"))
+    flat, masks, real, imag = body = np.empty((4, int(head[0])), np.int64)
+    _fill(pipe, body, path)
+    return flat, masks, real.view(np.float64), imag.view(np.float64)
+
+
+def _child(pipe: int, body: Callable[[], object], head: bytes = b"") -> NoReturn:
+    """A forked process's whole life: ``body``, then _exit, so none of the parent's cleanup runs
+    here.  Exit 0 when ``body`` returns; 2 with ``head`` and a ConfigError's message sent down
+    ``pipe``; 1 on anything else, its traceback printed."""
+    code = 1
+    try:
+        body()
+        code = 0
+    except ConfigError as exc:
+        code = 2
+        _send(pipe, np.frombuffer(head + str(exc).encode(errors="surrogatepass"), np.uint8))
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:  # also when a handler above raises
+        os._exit(code)
+
+
+def _read_odd_chunks(pipe: int, path: str, start: int, parse: Callable[[bytes], _Rows]) -> None:
+    """The forked reader's work: every odd chunk of ``path``'s data from byte ``start`` parsed, and
+    its rows sent down ``pipe``.  The file is opened again, as a forked descriptor shares its
+    offset with the parent."""
+    with _reading(path), open(path, "rb") as fh:
+        fh.seek(start)
+        for k, chunk in enumerate(_chunks(fh)):
+            if k % 2:
+                flat, masks, real, imag = parse(chunk)
+                _send(pipe, np.array([len(flat)], np.int64), flat.astype(np.int64), masks.astype(np.int64), real, imag)
+
+
+def _fork_reader(path: str, start: int, parse: Callable[[bytes], _Rows]):
+    """The pid of a forked reader of ``path`` and the read end of its pipe, or None when no
+    process can be forked."""
+    read, write = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's, and a cap may refuse it
+        import fcntl
+
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os.close(read)
+            # a ConfigError goes in place of its chunk, after a row count of -1
+            _child(write, lambda: _read_odd_chunks(write, path, start, parse), np.int64(-1).tobytes())
+    except OSError:  # no process to spare: every chunk is parsed here
+        os.close(read)
+        return None
+    finally:
+        os.close(write)
+    return pid, open(read, "rb", buffering=0)
+
+
+def _chunk_rows(path: str, fh, parse: Callable[[bytes], _Rows]) -> Iterator[_Rows]:
+    """The rows of each chunk of ``fh``'s data, in file order; every odd chunk's from a forked
+    reader when the data has at least ``_READER_BYTES``, no other thread runs and a CPU is spare.
+
+    The forked reader is reaped on every path: when the chunks are done, when either process
+    meets a bad row, and when the generator is closed early.
+    """
+    start = fh.tell()
+    forked = None
+    if (
+        os.fstat(fh.fileno()).st_size - start >= _READER_BYTES
+        and threading.active_count() == 1  # forking a process that runs threads is unsafe
+        and _spare_cpus() > 0
+    ):
+        forked = _fork_reader(path, start, parse)
+    if forked is None:
+        yield from map(parse, _chunks(fh))
+        return
+    pid, pipe = forked
+    try:
+        for k, chunk in enumerate(_chunks(fh)):
+            yield _receive(pipe, path) if k % 2 else parse(chunk)
+    finally:  # a reader still at work meets the closed pipe at its next chunk, and exits
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise RuntimeError(f"the field reader of {path} ended with exit code {code}")
+
+
 def load_field(path: str) -> LatticeField:
     """Inverse of store_field (bit-exact for finite values).
 
-    Rows are parsed ``_CHUNK_CHARS`` of text at a time by ``np.loadtxt``, then
-    range-checked, mapped to blade masks through a sorted table of the grid's
-    canonical labels and scattered into the columns of the blades with rows.
-    A label outside the table (another spelling or an invalid one), or in a chunk with a
-    NUL, is parsed from its line as written; a repeated (site, blade) keeps its last value.
+    The data lines are parsed ``_CHUNK_BYTES`` at a time, each chunk completed
+    to a line end, and each chunk's rows are scattered into the columns of the
+    blades with rows, in file order: a repeated (site, blade) keeps its last
+    value and the first bad row names the error.  A file of at least
+    ``_READER_BYTES`` has its odd chunks parsed by a forked reader, on Linux,
+    while a CPU is spare and no other thread runs.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            grid = _read_grid(fh, path)
-            canonical = [_blade_label(mask) for mask in range(grid.blades)]
-            width = max(map(len, canonical)) + 1  # spare character: a truncated long label matches none
-            dtype = np.dtype(
-                [(f"x{a + 1}", np.int64) for a in range(grid.n)]
-                + [("blade", f"U{width}"), ("re", np.float64), ("im", np.float64)]
-            )
-            masks_by_label = np.argsort(canonical)
-            labels = np.array(canonical, dtype=dtype["blade"])[masks_by_label]
-            f = LatticeField.zeros(grid)
-            for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""):
-                # a leading newline puts every line, the first too, after a "\n"
-                text = _SKIPPED_LINE.sub("\n", "\n" + chunk + fh.readline())
-                rows = _parse_rows(path, text, dtype)
-                sites = tuple(rows[f"x{a + 1}"] for a in range(grid.n))
-                for axis, (col, N) in enumerate(zip(sites, grid.shape)):
-                    outside = (col < 0) | (col >= N)
-                    if outside.any():
-                        j = col[outside.argmax()]
-                        raise ConfigError(f"{path}: site index {j} outside axis {axis + 1} (0..{N - 1})")
-                at = np.minimum(np.searchsorted(labels, rows["blade"]), grid.blades - 1)
-                masks = masks_by_label[at]
-                unmatched = labels[at] != rows["blade"]
-                if "\x00" in text:  # the text dtype drops a label's trailing NULs: read such rows as written
-                    unmatched |= ["\x00" in line for line in _data_lines(text)]
-                if unmatched.any():
-                    lines = _data_lines(text)
-                    for i in np.flatnonzero(unmatched):
-                        masks[i] = _parse_blade(path, grid, lines[i].split(",")[grid.n])
-                f = f._widened(masks)  # rows of a new blade widen the support
-                at = np.searchsorted(f.support, masks)
-                f.columns.real[sites + (at,)] = rows["re"]
-                f.columns.imag[sites + (at,)] = rows["im"]
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    with _reading(path), open(path, "rb") as fh:
+        grid = _read_grid(fh, path)
+        f = LatticeField.zeros(grid)
+        with contextlib.closing(_chunk_rows(path, fh, _row_parser(path, grid))) as chunks:
+            for rows in chunks:
+                f = _scatter(f, *rows)
     return f

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, _finite, _integer, _nonnegative, _positive
+from .clifford import Multivector, _finite, _integer, _nonnegative, _positive, _real_array
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -501,7 +501,7 @@ def wave_multipliers(op: DeltaOperator, lam: float, t: float):
 
 def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float):
     """Vectorized wave_multipliers over an array of nonnegative frequencies."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_array(lam, "frequencies")
     if np.any(lam < 0):
         raise ValueError("frequencies must be nonnegative")
     if not np.all(np.isfinite(lam)):

@@ -5,11 +5,16 @@ every valid file the tests demand the same grid and identical bytes
 (``tobytes()``, so the sign of a zero counts); on invalid files they demand
 a ``ConfigError`` with the same message.  Most cases also run with a tiny
 chunk size, so rows, comments and errors fall on either side of the chunk
-boundaries the reader parses at.
+boundaries the reader parses at, and with one line per chunk.  Every case
+runs twice: with the reader inline, and with it forced (threshold 0, four
+CPUs reported), so that a forked reader parses every odd chunk; no reader
+is left unreaped after a case.
 """
 
 import csv
+import os
 import re
+import types
 import warnings
 
 import numpy as np
@@ -71,11 +76,32 @@ def _ref_load_field(path: str) -> LatticeField:
     return LatticeField(grid, vals)
 
 
-@pytest.fixture(params=["default", "tiny"])
+@pytest.fixture(autouse=True, params=["inline", "forked"])
+def reader(request, monkeypatch):
+    """Whether the reader is forced, and how many readers were forked: forced, one for every
+    load that reaches the file's data."""
+    state = types.SimpleNamespace(forced=request.param == "forked", forks=0)
+    if state.forced:
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            state.forks += pid != 0
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(fieldio, "_READER_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    yield state
+    with pytest.raises(ChildProcessError):  # every forked reader was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["default", "tiny", "line"])
 def chunk(request, monkeypatch):
-    """Reader chunk size: the shipped one, or a few rows per chunk."""
-    if request.param == "tiny":
-        monkeypatch.setattr(fieldio, "_CHUNK_CHARS", 97)
+    """Reader chunk size: the shipped one, a few rows per chunk, or one line per chunk, so that
+    a forced split falls between every pair of lines."""
+    monkeypatch.setattr(fieldio, "_CHUNK_BYTES", {"default": fieldio._CHUNK_BYTES, "tiny": 97, "line": 1}[request.param])
     return request.param
 
 
@@ -256,15 +282,49 @@ def test_first_of_several_bad_rows_is_named(tmp_path, chunk):
     assert "'0.0x'" in message
 
 
-def test_tiny_chunk_splits_the_file_into_several_parses(tmp_path, monkeypatch, chunk):
+def test_tiny_chunk_splits_the_file_into_several_parses(tmp_path, monkeypatch, chunk, reader):
     # guards the fixture: the tiny chunk must reach the reader in its own module
     parses = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parses.append(1) or loadtxt(*args, **kwargs))
     rows = [f"{i % 4},,1.0,0.0" for i in range(40)]
-    got = _assert_same(_write(tmp_path, "f.csv", HEAD + "\n".join(rows) + "\n"))
+    path = _write(tmp_path, "f.csv", HEAD + "\n".join(rows) + "\n")
+    got = _assert_same(path)
     assert np.count_nonzero(got.values) == 4
-    assert len(parses) == 1 if chunk == "default" else len(parses) >= 4
+    with open(path, "rb") as fh:
+        fieldio._read_grid(fh, path)
+        chunks = len(list(fieldio._chunks(fh)))
+    assert chunks == 1 if chunk == "default" else chunks >= 4
+    assert len(parses) == ((chunks + 1) // 2 if reader.forced else chunks)  # forced, the even chunks
+
+
+def test_a_forced_reader_forks_once_per_load(tmp_path, reader):
+    # guards the fixture: forced, the reader must fork in the reader's own module
+    _assert_same(_write(tmp_path, "f.csv", HEAD + GOOD))
+    assert reader.forks == reader.forced
+
+
+def _one_line_per_chunk(monkeypatch, rows):
+    """Rows split one line per chunk: forced, the parent parses rows 0, 2, ... and the reader 1, 3, ..."""
+    monkeypatch.setattr(fieldio, "_CHUNK_BYTES", 1)
+    return HEAD + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("last", ["parent", "reader"])
+def test_a_row_repeated_across_the_processes_keeps_its_last_value(tmp_path, monkeypatch, last):
+    rows = ["0,,1.0,0.0", "0,,2.0,3.0", "1,1,5.0,5.0", "0,,-4.0,-0.0"]
+    text = _one_line_per_chunk(monkeypatch, rows if last == "reader" else rows + ["2,,1.0,1.0", "0,,7.0,0.5"])
+    got = _assert_same(_write(tmp_path, "f.csv", text))
+    assert got.values[0, 0] == (-4.0 if last == "reader" else 7.0 + 0.5j)
+
+
+@pytest.mark.parametrize("first", ["parent", "reader"])
+def test_bad_rows_in_both_processes_name_the_earlier(tmp_path, monkeypatch, first):
+    rows = [f"{i % 4},,1.0,0.0" for i in range(12)]
+    early, late = (4, 7) if first == "parent" else (5, 8)  # even rows are the parent's
+    rows[early], rows[late] = "1,,1.0,0.0x", "9,,1.0,0.0"
+    message = _assert_same_error(_write(tmp_path, "bad.csv", _one_line_per_chunk(monkeypatch, rows)))
+    assert "'0.0x'" in message
 
 
 def test_bad_site_in_a_later_axis(tmp_path, chunk):

@@ -5,6 +5,7 @@ float.  Anything else is a named ValueError, never a truncated count, a
 silently parsed string or an unnamed TypeError."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,7 @@ REAL_REFUSED = {
     "wave-multipliers-time": (lambda v: wave_multipliers(CONTINUOUS, 0.5, v), "time t must be finite"),
     "wave-multipliers-frequency": (lambda v: wave_multipliers(CONTINUOUS, v, 1.0), "frequencies must be finite"),
     "wave-multiplier-arrays-time": (lambda v: wave_multiplier_arrays(CONTINUOUS, LAM, v), "time t must be finite"),
+    "wave-multiplier-arrays-frequency": (lambda v: wave_multiplier_arrays(CONTINUOUS, v, 1.0), "frequencies must be finite"),
     "dirac-data-mass": (lambda v: dirac_data(FIELD, 0.25, v), "mass m must be finite"),
 }
 
@@ -137,6 +139,24 @@ REAL_REFUSED = {
 def test_a_real_parameter_that_is_not_a_number_is_a_named_error(call, message, value):
     with pytest.raises(ValueError, match=f"{message}, got {value!r}"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [["0.5", "1"], np.array(["0.5", "1"]), np.array([0.5, 1.0], dtype=object), [0.5, None]],
+    ids=["string-list", "string-array", "object-array", "none-in-list"],
+)
+def test_a_frequency_array_that_is_not_numbers_is_a_named_error(lam):
+    # np.asarray(["0.5", "1"], dtype=float) used to parse the strings as frequencies
+    with pytest.raises(ValueError, match=re.escape(f"frequencies must be finite, got {lam!r}")):
+        wave_multiplier_arrays(CONTINUOUS, lam, 1.0)
+
+
+@pytest.mark.parametrize("lam", [[0, 1, 2], np.arange(3), np.array([0.0, 1.1, 2.0], np.float32), [True, 2.5]],
+                         ids=["int-list", "int-array", "float32-array", "bool-and-float"])
+def test_a_numeric_frequency_array_gives_the_bits_of_its_float_array(lam):
+    want = np.stack(wave_multiplier_arrays(CONTINUOUS, np.array(lam, dtype=float), 0.7))
+    assert np.stack(wave_multiplier_arrays(CONTINUOUS, lam, 0.7)).tobytes() == want.tobytes()
 
 
 def test_a_string_step_is_refused_by_the_delta_operator():
