@@ -13,10 +13,9 @@ be a directory, or a failed output write), 3 numerical guard (CFL violation,
 special-function domain guard, a non-finite kernel, or ``--tolerance``
 exceeded).  The field CSV format and the row writer of every output CSV live
 in ``fieldio``; ``store_field``, ``load_field`` and ``ConfigError`` are re-exported.
-On Linux, ``evolve`` and ``kernel`` hand each large output field to a forked
-writer process while a CPU is spare, and compute the next one meanwhile;
-``fieldio._spare_cpus`` counts the spare CPUs for them and for the forked
-reader that ``load_field`` splits a large input field with.
+On Linux, ``evolve`` and ``kernel`` hand each large output field to
+``fieldio.Writers``, which writes it in a forked process while a CPU is
+spare, and compute the next one meanwhile; ``fieldio`` owns every fork.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clifford import _alpha, _frac_alpha, _nonnegative, _positive, mul_columns
-from .fieldio import ConfigError, _child, _spare_cpus, cells, load_field, open_csv, store_field, write_rows
+from .fieldio import ConfigError, Writers, cells, load_field, open_csv, store_field, write_rows
 from .fractional import (
     FracParams,
     fractional_symbols,
@@ -305,13 +304,6 @@ def _enforce_tolerance(args, worst) -> int:
     return 0
 
 
-# A field of at least this many rows (sites x support) goes to a forked writer when a CPU is
-# spare.  A forked write costs 2-6 ms more CPU than the same write inline (a 40 MB CLI process
-# on a 2-vCPU Xeon), about a quarter of the 23 ms that 2**14 rows take; a smaller field would
-# save too little for that.
-_WRITER_ROWS = 1 << 14
-
-
 class _Run:
     """The pipeline that evolve, kernel and spectrum share: validate, compute, export.
 
@@ -325,11 +317,10 @@ class _Run:
     a write failed) removes the files at the output names it recorded; a
     directory at such a name, which made its write fail, stays.
 
-    ``store`` writes one output field, in a forked writer when it is large
-    and a CPU is spare.  Writers are reaped before each fork, by ``finish``
-    before ``metadata.json``, and on exit before any file is removed, so no
-    writer outlives the run; a writer's failure is raised here as the inline
-    write would have raised it.
+    ``store`` writes one output field through ``fieldio.Writers``.  Its
+    writers are reaped by ``finish`` before ``metadata.json`` and on exit
+    before any file is removed, so no writer outlives the run; a writer's
+    failure is raised as the inline write would have raised it.
     """
 
     def __init__(self, args, command: str, *keys: str):
@@ -340,7 +331,7 @@ class _Run:
         self.residuals: dict[str, dict[str, float]] = {}
         self.record: dict[str, object] = {}
         self.kept = False
-        self.writers: dict[int, tuple[int, str]] = {}  # pid -> (read end of its pipe, its file)
+        self.writers = Writers()
 
     def require(self, *keys: str) -> None:
         missing = [k for k in keys if k not in self.cfg]
@@ -388,50 +379,11 @@ class _Run:
         return os.path.join(self.args.out, name)
 
     def store(self, field: LatticeField, name: str, **kw) -> None:
-        """``store_field(field, self.path(name), **kw)``, in a forked writer when ``field`` has at
-        least ``_WRITER_ROWS`` rows and fewer writers run than CPUs are spare; else here."""
-        path = self.path(name)
-        if field.columns.size >= _WRITER_ROWS and self._reap(block=False) < _spare_cpus():
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(write, lambda: store_field(field, path, **kw))
-                self.writers[pid] = (read, path)
-                return
-            except OSError:  # no process to spare: the write stays here
-                os.close(read)
-            finally:
-                os.close(write)
-        store_field(field, path, **kw)
-
-    def _reap(self, block: bool) -> int:
-        """Collect the writers that have ended, or every writer if ``block``; returns how many run on.
-
-        Once all are collected, the first failure among them, in file order, is raised.
-        """
-        failure = None
-        for pid, (read, path) in list(self.writers.items()):
-            if not block:
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if not done:
-                    continue
-            # read to EOF before a blocking wait: a message longer than the pipe holds its writer
-            message = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-            if block:
-                status = os.waitpid(pid, 0)[1]
-            os.close(read)
-            del self.writers[pid]
-            code = os.waitstatus_to_exitcode(status)
-            if code and failure is None:
-                failure = ConfigError(message.decode(errors="surrogatepass")) if code == 2 else RuntimeError(
-                    f"the output writer of {path} ended with exit code {code}")
-        if failure is not None:
-            raise failure
-        return len(self.writers)
+        """``store_field(field, self.path(name), **kw)``, in a forked writer or here."""
+        self.writers.store(field, self.path(name), **kw)
 
     def finish(self, worst, **record) -> int:
-        self._reap(block=True)  # every file is whole, or its failure raised, before metadata.json
+        self.writers.reap(block=True)  # every file is whole, or its failure raised, before metadata.json
         status = _enforce_tolerance(self.args, worst)
         if worst is None or math.isfinite(worst):  # a non-finite residual keeps no output
             record.update(
@@ -443,7 +395,7 @@ class _Run:
 
     def __exit__(self, kind, *exc) -> None:
         try:
-            self._reap(block=True)  # no writer outlives the run, or writes a file after the cleanup
+            self.writers.reap(block=True)  # no writer outlives the run, or writes a file after the cleanup
         except Exception:
             # a writer's file came before the error in flight, so an inline write would have failed
             # first; an interrupt or exit still ends the run as such

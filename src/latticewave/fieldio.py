@@ -12,18 +12,19 @@ to its cell, so the row is malformed.  ``write_rows`` emits every CSV row
 the package writes: field rows, heat-kernel pairs and the ``spectrum``
 sweep.  A file that cannot be read or written is a ``ConfigError``.
 
-The reader parses the data in chunks of bytes, each completed to a line
-end.  On Linux, a file with at least ``_READER_BYTES`` of data has every odd
-chunk parsed by one forked reader while a CPU is spare and no other thread
-runs; it sends each chunk's rows down a pipe and the parent scatters every
-chunk in file order, so the result and the first error are those of an
-inline parse.  ``_spare_cpus`` is the rule the ``cli`` output writers share.
+The reader parses the data in chunks of bytes, each completed to a line end.
+On Linux, ``_Worker`` forks every process the package runs, under one rule.
+A file with at least ``_READER_BYTES`` of data has every odd chunk parsed by a
+forked reader, and the parent scatters every chunk in file order, so the result
+and the first error are those of an inline parse; ``Writers`` writes each
+``cli`` output field of at least ``_WRITER_ROWS`` rows in a forked writer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import sys
@@ -35,7 +36,7 @@ import numpy as np
 from .clifford import blade_indices, blade_mask
 from .lattice import GridSpec, LatticeField, align
 
-__all__ = ["ConfigError", "store_field", "load_field", "open_csv", "write_rows", "cells"]
+__all__ = ["ConfigError", "store_field", "load_field", "open_csv", "write_rows", "cells", "Writers"]
 
 
 class ConfigError(Exception):
@@ -111,21 +112,124 @@ _CHUNK_BYTES = 1 << 18  # bytes handed to one np.loadtxt call, completed to a li
 # a comment line, or one of whitespace only (str.isspace, as str.strip sees it); the lookahead turns a
 # data line away at its first character
 _SKIPPED_LINE = re.compile(r"\n(?=[#\s])(?:#[^\n]*|[^\S\n]+(?=\n|$))")
-# Data of at least this many bytes (after the header) is split with a forked reader when a CPU is
-# spare.  On a 2-vCPU Xeon the split cost 7-33 ms more CPU than an inline parse: 21-100 % of the
-# half parse it moves at 3.4 MB, 7-24 % at 6.8 MB and under 30 % at 14 MB.  From 2**23 bytes up the
-# extra CPU is about a quarter of the moved parse or less, the rule of the writers' threshold
+# A field of at least this many rows (sites x support) goes to a forked writer: on a 2-vCPU Xeon a
+# forked write costs 2-6 ms more CPU than inline, about a quarter of the 23 ms that 2**14 rows take
+_WRITER_ROWS = 1 << 14
+# Data of at least this many bytes (after the header) is split with a forked reader: on a 2-vCPU Xeon
+# the split's extra CPU (7-33 ms) is a quarter of the half parse it moves or less from 2**23 bytes up
 _READER_BYTES = 1 << 23
-# asked of F_SETPIPE_SZ for the reader's pipe, Linux's cap for unprivileged processes: a few chunks
-# of rows in flight, so that the two processes do not run in lockstep as with the default 64 KiB
+# asked of F_SETPIPE_SZ for a worker's pipe, Linux's cap for unprivileged processes: a few chunks of
+# rows in flight, so that the reader and its parent do not run in lockstep as with the default 64 KiB
 _PIPE_BYTES = 1 << 20
 
 
-def _spare_cpus() -> int:
-    """How many processes may run beside this one: usable CPUs less one, and 0 where os cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
+def _send(pipe: int, *arrays: np.ndarray) -> None:
+    """The bytes of each array down ``pipe``, in order."""
+    for array in arrays:
+        view = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+        while view:
+            view = view[os.write(pipe, view):]
+
+
+class _Worker:
+    """A forked process that runs one body and ends in ``os._exit``, and the read end of its pipe.
+
+    It exits 0 when the body returns or meets a closed pipe (the parent stopped early); 2 with ``head``
+    and a ConfigError's message sent down the pipe; 1 on anything else, its traceback printed."""
+
+    def __init__(self, pid: int, pipe: io.BufferedReader, what: str):
+        self.pid, self.pipe, self.what = pid, pipe, what
+        self.failure: Exception | None = None
+
+    @classmethod
+    def start(cls, what: str, body: Callable[[int], object], head: bytes = b"", running: int = 0) -> _Worker | None:
+        """A worker, named ``what`` in its failure, that runs ``body`` on the write end of its pipe; None
+        unless ``os`` can fork, no other thread runs (forking a threaded process is unsafe) and a CPU is
+        spare beside this process and ``running`` workers, or when no process can be forked."""
+        if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1
+                or len(os.sched_getaffinity(0)) - 1 <= running):
+            return None
+        read, write = os.pipe()
+        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's, and a cap may refuse it
+            import fcntl
+
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                cls._child(write, body, head)
+        except OSError:  # no process to spare: the caller does the work itself
+            os.close(read)
+            return None
+        finally:
+            os.close(write)
+        return cls(pid, open(read, "rb"), what)
+
+    @staticmethod
+    def _child(pipe: int, body: Callable[[int], object], head: bytes) -> NoReturn:
+        """The forked process's whole life: ``body``, then _exit, so none of the parent's cleanup runs here."""
+        code = 0
+        try:
+            body(pipe)
+        except BrokenPipeError:  # the parent stopped early and closed its end: nothing to tell it
+            pass
+        except ConfigError as exc:
+            code = 2
+            _send(pipe, np.frombuffer(head + str(exc).encode(errors="surrogatepass"), np.uint8))
+        except BaseException:
+            code = 1
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:  # also when a handler above raises
+            os._exit(code)
+
+    def reap(self, block: bool = True) -> bool:
+        """Whether the child has ended, waited for if ``block``; an open pipe is read to its end first, as
+        a message longer than the pipe holds the child.  Exit 2 with a message read is a ConfigError of it;
+        any other nonzero exit a RuntimeError."""
+        if not block:
+            done, status = os.waitpid(self.pid, os.WNOHANG)
+            if not done:
+                return False
+        message = b"" if self.pipe.closed else self.pipe.read()
+        self.pipe.close()
+        if block:
+            status = os.waitpid(self.pid, 0)[1]
+        code = os.waitstatus_to_exitcode(status)
+        if code == 2 and message:
+            self.failure = ConfigError(message.decode(errors="surrogatepass"))
+        elif code:
+            self.failure = RuntimeError(f"the {self.what} ended with exit code {code}")
+        return True
+
+
+class Writers:
+    """The forked output writers of one run, in the order of their files."""
+
+    def __init__(self):
+        self.running: list[_Worker] = []
+
+    def store(self, field: LatticeField, path: str, **kw) -> None:
+        """``store_field(field, path, **kw)``, in a forked writer when ``field`` has at least
+        ``_WRITER_ROWS`` rows and the rule allows one beside the writers still running; else here."""
+        if field.columns.size >= _WRITER_ROWS:
+            writer = _Worker.start(f"output writer of {path}", lambda pipe: store_field(field, path, **kw),
+                                   running=self.reap(block=False))
+            if writer is not None:
+                self.running.append(writer)
+                return
+        store_field(field, path, **kw)
+
+    def reap(self, block: bool) -> int:
+        """Collect the writers that have ended, or every writer if ``block``, then raise the first failure
+        among them in file order; returns how many run on."""
+        ended = [writer.reap(block) for writer in self.running]
+        failures = [w.failure for w, done in zip(self.running, ended) if done and w.failure]
+        self.running = [w for w, done in zip(self.running, ended) if not done]
+        if failures:
+            raise failures[0]
+        return len(self.running)
 
 
 @contextlib.contextmanager
@@ -145,6 +249,8 @@ def _read_grid(fh, path: str) -> GridSpec:
     header = None
     for raw in fh:
         line = raw.decode("utf-8")
+        if "\r" in line.rstrip("\r\n"):
+            raise ConfigError(f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n")
         if line.startswith("#"):
             inner = line[1:].strip()
             if "=" in inner:
@@ -260,114 +366,56 @@ def _scatter(f: LatticeField, flat: np.ndarray, masks: np.ndarray, real: np.ndar
     return f
 
 
-def _send(pipe: int, *arrays: np.ndarray) -> None:
-    """The bytes of each array down ``pipe``, in order."""
-    for array in arrays:
-        view = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
-        while view:
-            view = view[os.write(pipe, view):]
-
-
 def _fill(pipe, array: np.ndarray, path: str) -> None:
-    """``array`` filled from the reader's ``pipe``; a pipe that ends first is a RuntimeError."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise RuntimeError(f"the field reader of {path} ended before sending its rows")
-        view = view[got:]
+    """``array`` filled from the reader's buffered ``pipe``; a pipe that ends first is a RuntimeError."""
+    if pipe.readinto(array) < array.nbytes:
+        raise RuntimeError(f"the field reader of {path} ended before sending its rows")
 
 
 def _receive(pipe, path: str) -> _Rows:
-    """The rows of the reader's next chunk; the ConfigError it sent in their place is raised here."""
+    """The rows of the reader's next chunk; a ConfigError it sent in their place, after a row count of -1,
+    is raised here."""
     head = np.empty(1, np.int64)
     _fill(pipe, head, path)
     if head[0] < 0:
-        raise ConfigError(pipe.readall().decode(errors="surrogatepass"))
+        raise ConfigError(pipe.read().decode(errors="surrogatepass"))
     flat, masks, real, imag = body = np.empty((4, int(head[0])), np.int64)
     _fill(pipe, body, path)
     return flat, masks, real.view(np.float64), imag.view(np.float64)
 
 
-def _child(pipe: int, body: Callable[[], object], head: bytes = b"") -> NoReturn:
-    """A forked process's whole life: ``body``, then _exit, so none of the parent's cleanup runs
-    here.  Exit 0 when ``body`` returns; 2 with ``head`` and a ConfigError's message sent down
-    ``pipe``; 1 on anything else, its traceback printed."""
-    code = 1
-    try:
-        body()
-        code = 0
-    except ConfigError as exc:
-        code = 2
-        _send(pipe, np.frombuffer(head + str(exc).encode(errors="surrogatepass"), np.uint8))
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:  # also when a handler above raises
-        os._exit(code)
-
-
 def _read_odd_chunks(pipe: int, path: str, start: int, parse: Callable[[bytes], _Rows]) -> None:
-    """The forked reader's work: every odd chunk of ``path``'s data from byte ``start`` parsed, and
-    its rows sent down ``pipe``.  The file is opened again, as a forked descriptor shares its
-    offset with the parent."""
-    with _reading(path), open(path, "rb") as fh:
-        fh.seek(start)
-        for k, chunk in enumerate(_chunks(fh)):
-            if k % 2:
-                flat, masks, real, imag = parse(chunk)
-                _send(pipe, np.array([len(flat)], np.int64), flat.astype(np.int64), masks.astype(np.int64), real, imag)
+    """The forked reader's body: the rows of every odd chunk of ``path``'s data from byte ``start`` sent down
+    ``pipe``, from the file opened again (a forked descriptor shares its offset); sends are no reads."""
 
+    def odd_rows() -> Iterator[_Rows]:
+        with _reading(path), open(path, "rb") as fh:
+            fh.seek(start)
+            yield from map(parse, itertools.islice(_chunks(fh), 1, None, 2))
 
-def _fork_reader(path: str, start: int, parse: Callable[[bytes], _Rows]):
-    """The pid of a forked reader of ``path`` and the read end of its pipe, or None when no
-    process can be forked."""
-    read, write = os.pipe()
-    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's, and a cap may refuse it
-        import fcntl
-
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    try:
-        pid = os.fork()
-        if pid == 0:
-            os.close(read)
-            # a ConfigError goes in place of its chunk, after a row count of -1
-            _child(write, lambda: _read_odd_chunks(write, path, start, parse), np.int64(-1).tobytes())
-    except OSError:  # no process to spare: every chunk is parsed here
-        os.close(read)
-        return None
-    finally:
-        os.close(write)
-    return pid, open(read, "rb", buffering=0)
+    for flat, masks, real, imag in odd_rows():
+        _send(pipe, np.array([len(flat)], np.int64), flat.astype(np.int64), masks.astype(np.int64), real, imag)
 
 
 def _chunk_rows(path: str, fh, parse: Callable[[bytes], _Rows]) -> Iterator[_Rows]:
-    """The rows of each chunk of ``fh``'s data, in file order; every odd chunk's from a forked
-    reader when the data has at least ``_READER_BYTES``, no other thread runs and a CPU is spare.
-
-    The forked reader is reaped on every path: when the chunks are done, when either process
-    meets a bad row, and when the generator is closed early.
-    """
+    """The rows of each chunk of ``fh``'s data, in file order; every odd chunk's from a forked reader
+    when the data has at least ``_READER_BYTES`` and ``_Worker`` forks one.  It is reaped on every path."""
     start = fh.tell()
-    forked = None
-    if (
-        os.fstat(fh.fileno()).st_size - start >= _READER_BYTES
-        and threading.active_count() == 1  # forking a process that runs threads is unsafe
-        and _spare_cpus() > 0
-    ):
-        forked = _fork_reader(path, start, parse)
-    if forked is None:
+    reader = None
+    if os.fstat(fh.fileno()).st_size - start >= _READER_BYTES:
+        reader = _Worker.start(f"field reader of {path}", lambda pipe: _read_odd_chunks(pipe, path, start, parse),
+                               np.int64(-1).tobytes())
+    if reader is None:
         yield from map(parse, _chunks(fh))
         return
-    pid, pipe = forked
     try:
         for k, chunk in enumerate(_chunks(fh)):
-            yield _receive(pipe, path) if k % 2 else parse(chunk)
-    finally:  # a reader still at work meets the closed pipe at its next chunk, and exits
-        pipe.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        raise RuntimeError(f"the field reader of {path} ended with exit code {code}")
+            yield _receive(reader.pipe, path) if k % 2 else parse(chunk)
+    finally:  # a reader still at work meets the closed pipe at its next send, and ends
+        reader.pipe.close()
+        reader.reap()
+    if reader.failure:
+        raise reader.failure
 
 
 def load_field(path: str) -> LatticeField:
@@ -377,8 +425,7 @@ def load_field(path: str) -> LatticeField:
     to a line end, and each chunk's rows are scattered into the columns of the
     blades with rows, in file order: a repeated (site, blade) keeps its last
     value and the first bad row names the error.  A file of at least
-    ``_READER_BYTES`` has its odd chunks parsed by a forked reader, on Linux,
-    while a CPU is spare and no other thread runs.
+    ``_READER_BYTES`` has its odd chunks parsed by a forked reader on Linux.
     """
     with _reading(path), open(path, "rb") as fh:
         grid = _read_grid(fh, path)

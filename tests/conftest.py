@@ -41,6 +41,14 @@ def transforms(monkeypatch):
 
 
 @pytest.fixture
+def open_fds():
+    """A lister of the descriptors this process holds, to compare before and after a load or a run."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list descriptors")
+    return lambda: sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
 def criterion(request):
     """Context manager factory: records and prints one PASS/FAIL line per
     acceptance criterion, then re-raises on failure."""

@@ -224,6 +224,15 @@ def test_repeated_row_keeps_its_last_value(tmp_path, chunk):
     assert got.values[0, 0] == -4.0 and np.signbit(got.values[0, 0].imag)
 
 
+def test_a_file_of_bare_cr_lines_is_refused_naming_its_line_ending(tmp_path, chunk):
+    # the row-by-row reader splits on a bare \r too; this reader refuses the file, since its grid
+    # lines would run together
+    path = _write(tmp_path, "f.csv", HEAD + GOOD, "\r")
+    with pytest.raises(ConfigError) as got:
+        load_field(path)
+    assert str(got.value) == f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n"
+
+
 def test_other_spellings_of_a_blade(tmp_path, chunk):
     # labels outside the canonical table but valid to the previous reader
     text = HEAD + "1, 1,2.0,0.0\n2,01,3.0,0.0\n3,1·2,4.0,0.0\n"

@@ -1,5 +1,6 @@
 """Forked field readers of ``load_field``: when the reader stays inline, how a failed reader
-is raised, and the reader's and the output writer's child bodies run in this process.
+is raised, how a reader ends when its parent stops early, that no descriptor outlives a load,
+and the reader's and the output writer's child bodies run in this process.
 
 The child bodies end in ``os._exit``; here it is patched to raise ``Exited``, so the tests can
 read the exit code, and what the body sent down its pipe, without forking.
@@ -132,13 +133,59 @@ def test_a_reader_that_fails_after_its_rows_is_a_runtime_error(tmp_path, monkeyp
     _no_child_left()
 
 
+def test_a_parent_that_stops_early_leaves_its_reader_to_end_quietly(tmp_path, monkeypatch, capfd):
+    # a bad row in the parent's first chunk: the reader, with over a full pipe of rows still to
+    # send, meets the closed pipe at its next send and exits 0, with nothing on stderr
+    monkeypatch.setattr(fieldio, "_READER_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rows = [f"{i % 4},,1.0,0.0\n" for i in range(200_000)]
+    rows[10] = "1,,1.0,0.0x\n"
+    path = _file(tmp_path, HEAD + "".join(rows))
+    codes, waitpid = [], os.waitpid
+
+    def spied(pid, options):
+        done, status = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return done, status
+
+    monkeypatch.setattr(os, "waitpid", spied)
+    with pytest.raises(ConfigError, match=r"malformed row \['1', '', '1.0', '0.0x'\]"):
+        load_field(path)
+    monkeypatch.undo()
+    assert codes == [0]
+    assert capfd.readouterr().err == ""
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["clean", "bad-row-in-a-parent-chunk", "bad-row-in-a-reader-chunk", "closed-early"])
+def test_no_descriptor_outlives_a_forced_reader(case, tmp_path, monkeypatch, forced, open_fds):
+    monkeypatch.setattr(fieldio, "_CHUNK_BYTES", 1)  # one line per chunk: the reader parses rows 1, 3, ...
+    rows = [f"{i % 4},,1.0,0.0\n" for i in range(12)]
+    if case.startswith("bad-row"):
+        rows[4 if "parent" in case else 5] = "1,,1.0,0.0x\n"
+    path = _file(tmp_path, HEAD + "".join(rows))
+    before = open_fds()
+    if case == "closed-early":
+        with open(path, "rb") as fh:
+            chunks = fieldio._chunk_rows(path, fh, fieldio._row_parser(path, fieldio._read_grid(fh, path)))
+            next(chunks)
+            chunks.close()
+    elif case == "clean":
+        load_field(path)
+    else:
+        with pytest.raises(ConfigError, match="malformed row"):
+            load_field(path)
+    assert open_fds() == before
+    _no_child_left()
+
+
 # -- the child bodies, in this process ---------------------------------------------
 
 
 @pytest.fixture
 def child(monkeypatch, exits):
     """``os.fork`` answers 0, so this process takes the child's path.  Yields the pipes made, as
-    (read end, a copy of it): the reader's body closes its read end, and the copy stays open to
+    (read end, a copy of it): a worker's child closes its read end, and the copy stays open to
     read what the body sent."""
     pipes, pipe = [], os.pipe
 
@@ -213,15 +260,13 @@ def _field():
 
 def _store_in_a_child(tmp_path, monkeypatch, pipes):
     """Exit code of the output writer's body storing ``_field()`` as ``f.csv``, and what it sent."""
-    monkeypatch.setattr(cli, "_WRITER_ROWS", 0)
+    monkeypatch.setattr(fieldio, "_WRITER_ROWS", 0)
     run = object.__new__(cli._Run)
-    run.args, run.files, run.writers = types.SimpleNamespace(out=str(tmp_path)), [], {}
+    run.args, run.files, run.writers = types.SimpleNamespace(out=str(tmp_path)), [], fieldio.Writers()
     with pytest.raises(Exited) as exited:
         run.store(_field(), "f.csv")
-    read, kept = pipes[0]
-    os.close(read)  # the read end, which only the parent would keep
-    assert run.files == ["f.csv"] and run.writers == {}
-    return exited.value.code, _pipe_bytes(kept)
+    assert run.files == ["f.csv"] and run.writers.running == []
+    return exited.value.code, _pipe_bytes(pipes[0][1])
 
 
 def test_the_writer_body_writes_the_bytes_of_an_inline_write(tmp_path, monkeypatch, child):
@@ -240,7 +285,7 @@ def test_the_writer_body_reports_any_other_failure_with_exit_1(tmp_path, monkeyp
     def broken(*args, **kwargs):
         raise KeyError("planted")
 
-    monkeypatch.setattr(cli, "store_field", broken)
+    monkeypatch.setattr(fieldio, "store_field", broken)
     assert _store_in_a_child(tmp_path, monkeypatch, child) == (1, b"")
     assert "KeyError: 'planted'" in capsys.readouterr().err
 
@@ -257,7 +302,7 @@ def test_an_evolve_from_a_large_stored_field_gives_the_same_bytes_forked_and_inl
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "_WRITER_ROWS", 1 << 40)  # count the reader alone
+    monkeypatch.setattr(fieldio, "_WRITER_ROWS", 1 << 40)  # count the reader alone
     monkeypatch.chdir(tmp_path)
     cfg = str(FIXTURES / "kg3d_16_file.cfg")  # reads field.csv in the working directory
     assert main(["evolve", "--config", cfg, "--out", "forked"]) == 0

@@ -1,5 +1,5 @@
 """Forked output writers of ``evolve`` and ``kernel``: the same bytes and exit codes as inline
-writes, no file after a failed run, and no writer left running.
+writes, no file after a failed run, and no writer or descriptor left behind.
 
 "Writers forced" means every field goes to a writer (the row threshold is 0) and four CPUs
 are reported, so up to three writers run at once.
@@ -9,6 +9,7 @@ import errno
 import filecmp
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import test_acceptance
 import test_cli
-from latticewave import GridSpec, LatticeField, cli, random_field
+from latticewave import GridSpec, LatticeField, cli, fieldio, random_field
 from latticewave.cli import main
 
 FIXTURES = test_acceptance.FIXTURES
@@ -36,7 +37,7 @@ def forks(monkeypatch):
 
     def counted():
         pid = fork()
-        count[0] += pid != 0 and sys._getframe(1).f_code is cli._Run.store.__code__
+        count[0] += pid != 0 and sys._getframe(2).f_code is fieldio.Writers.store.__code__
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
@@ -46,7 +47,7 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def forced(monkeypatch, forks):
-    monkeypatch.setattr(cli, "_WRITER_ROWS", 0)
+    monkeypatch.setattr(fieldio, "_WRITER_ROWS", 0)
     return forks
 
 
@@ -104,7 +105,7 @@ def test_a_writer_that_fails_otherwise_is_raised_and_its_run_keeps_no_file(tmp_p
     def broken(*args, **kwargs):
         raise RuntimeError("broken writer")
 
-    monkeypatch.setattr(cli, "store_field", broken)  # the writers inherit it
+    monkeypatch.setattr(fieldio, "store_field", broken)  # the writers inherit it
     out = tmp_path / "o"
     with pytest.raises(RuntimeError, match=r"the output writer of .*field_000\.csv ended with exit code 1"):
         main(["evolve", "--config", _kg(tmp_path), "--out", str(out)])
@@ -114,9 +115,9 @@ def test_a_writer_that_fails_otherwise_is_raised_and_its_run_keeps_no_file(tmp_p
 
 def test_a_busy_cpu_gets_no_second_writer(tmp_path, monkeypatch, forks):
     # two CPUs: one writer at a time; while it sleeps, the parent writes the later fields itself
-    monkeypatch.setattr(cli, "_WRITER_ROWS", 0)
+    monkeypatch.setattr(fieldio, "_WRITER_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    parent, store, inline = os.getpid(), cli.store_field, []
+    parent, store, inline = os.getpid(), fieldio.store_field, []
 
     def slow_in_a_writer(f, path, **kw):
         if os.getpid() != parent:
@@ -125,7 +126,7 @@ def test_a_busy_cpu_gets_no_second_writer(tmp_path, monkeypatch, forks):
             inline.append(os.path.basename(path))
         store(f, path, **kw)
 
-    monkeypatch.setattr(cli, "store_field", slow_in_a_writer)
+    monkeypatch.setattr(fieldio, "store_field", slow_in_a_writer)
     out = tmp_path / "o"
     assert main(["evolve", "--config", _kg(tmp_path, times="0.0, 0.5, 1.0"), "--out", str(out)]) == 0
     assert forks[0] == 1 and inline == ["field_001.csv", "field_002.csv"]
@@ -152,7 +153,7 @@ def _never(*args):
 
 @pytest.mark.parametrize("host", ["one-cpu", "no-fork", "no-affinity"])
 def test_without_a_spare_cpu_or_fork_every_write_is_inline(host, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_WRITER_ROWS", 0)
+    monkeypatch.setattr(fieldio, "_WRITER_ROWS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one-cpu" else {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(os, "fork", _never, raising=False)
     if host == "no-fork":
@@ -192,7 +193,7 @@ def test_a_32_cubed_run_writes_the_same_bytes_forked_and_inline(tmp_path, monkey
 @pytest.mark.parametrize("later", [ValueError, KeyboardInterrupt], ids=["guard", "interrupt"])
 def test_a_failed_writer_outranks_a_later_guard_but_not_an_interrupt(later, tmp_path, capsys, monkeypatch, forced):
     # inline, the failed write of field_000.csv would have ended the run before the second slice
-    store, solve = cli.store_field, cli.solve_kg
+    store, solve = fieldio.store_field, cli.solve_kg
 
     def refused(f, path, **kw):
         raise cli.ConfigError(f"cannot write field file {path}: planted")
@@ -202,7 +203,7 @@ def test_a_failed_writer_outranks_a_later_guard_but_not_an_interrupt(later, tmp_
             raise later("planted")
         return solve(plan, time, m, t)
 
-    monkeypatch.setattr(cli, "store_field", refused)  # the writers inherit it
+    monkeypatch.setattr(fieldio, "store_field", refused)  # the writers inherit it
     monkeypatch.setattr(cli, "solve_kg", trips_late)
     out = tmp_path / "o"
     argv = ["evolve", "--config", _kg(tmp_path, times="0.0, 0.5"), "--out", str(out)]
@@ -213,4 +214,52 @@ def test_a_failed_writer_outranks_a_later_guard_but_not_an_interrupt(later, tmp_
         with pytest.raises(KeyboardInterrupt):
             main(argv)
     assert forced[0] == 1 and list(out.iterdir()) == []
+    _no_child_left()
+
+
+def test_a_second_thread_keeps_every_write_inline(tmp_path, monkeypatch, forced):
+    # forking a process that runs threads is unsafe: the writers obey the field reader's rule
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    try:
+        assert main(["evolve", "--config", "tests/fixtures/dirac.cfg", "--out", str(tmp_path / "dirac")]) == 0
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and forced[0] == 0
+    _same_as_golden(tmp_path / "dirac", "dirac")
+
+
+@pytest.mark.parametrize("blocked", [None, "field_001.csv"], ids=["clean", "failed-write"])
+def test_no_descriptor_outlives_a_run_with_writers_forced(blocked, tmp_path, capsys, forced, open_fds):
+    out = tmp_path / "o"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    before = open_fds()
+    argv = ["evolve", "--config", _kg(tmp_path, times="0.0, 0.5, 1.0"), "--out", str(out)]
+    assert main(argv) == (2 if blocked else 0)
+    assert open_fds() == before
+    # a failed write is raised by the first reap that finds its writer ended, before or after the third fork
+    assert forced[0] in ((2, 3) if blocked else (3,))
+    if blocked:
+        assert capsys.readouterr().err.startswith(f"config error: cannot write field file {out / blocked}: ")
+    _no_child_left()
+
+
+def test_of_several_failed_writers_the_first_file_is_named(tmp_path, capsys, monkeypatch, forced):
+    # every writer fails after a pause, so one blocking reap collects all three failures
+    parent = os.getpid()
+
+    def refused_late(f, path, **kw):
+        if os.getpid() != parent:
+            time.sleep(0.3)
+        raise cli.ConfigError(f"cannot write field file {path}: planted")
+
+    monkeypatch.setattr(fieldio, "store_field", refused_late)  # the writers inherit it
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", _kg(tmp_path, times="0.0, 0.5, 1.0"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write field file {out / 'field_000.csv'}: planted\n"
+    assert forced[0] == 3 and list(out.iterdir()) == []
     _no_child_left()
