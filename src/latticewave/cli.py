@@ -203,11 +203,8 @@ def _cross_validate(cfg: dict[str, object]) -> None:
             raise ConfigError(f"{modes_key}: needs {cfg['dim']} components, got {len(cfg[modes_key])}")
 
     equation = cfg.get("equation")
-    if equation == "heat":
-        if cfg.get("time_model") == "central_difference":
-            raise ConfigError("time_model: heat flow runs in continuous time only")
-        if cfg.get("initial_velocity", "zero") != "zero":
-            raise ConfigError("initial_velocity: heat flow is first order; only 'zero' makes sense")
+    if equation == "heat" and cfg.get("initial_velocity", "zero") != "zero":
+        raise ConfigError("initial_velocity: heat flow is first order; only 'zero' makes sense")
     if equation == "dirac":
         if "alpha" not in cfg:
             raise ConfigError("alpha: required for the dirac equation")
@@ -341,11 +338,14 @@ class _Run:
     def time_model(self, grid: GridSpec, stepped: bool, heat_error: str) -> TimeModel | None:
         """The time model of evolve and kernel (None for heat flow); records their shared keys.
 
-        Central-difference output times must lie on the tau/2 grid, heat times
-        must be nonnegative (``heat_error`` is the command's text for that).
+        Central-difference output times must lie on the tau/2 grid.  Heat flow
+        runs in continuous time only, at nonnegative times (``heat_error`` is
+        the command's text for that).
         """
         cfg, time, cfl = self.cfg, None, None
         if not stepped:
+            if cfg.get("time_model") == "central_difference":
+                raise ConfigError("time_model: heat flow runs in continuous time only")
             if any(t < 0 for t in cfg["times"]):
                 raise ConfigError(f"times: {heat_error}")
         elif cfg["time_model"] == "continuous":

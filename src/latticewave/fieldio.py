@@ -243,6 +243,11 @@ def _reading(path: str):
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _bare_cr(path: str) -> ConfigError:
+    """The error of a field file whose lines run together at a bare carriage return."""
+    return ConfigError(f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n")
+
+
 def _read_grid(fh, path: str) -> GridSpec:
     """Grid from the ``#`` lines before the header; reads ``fh`` (binary) through the header."""
     meta: dict[str, str] = {}
@@ -250,7 +255,7 @@ def _read_grid(fh, path: str) -> GridSpec:
     for raw in fh:
         line = raw.decode("utf-8")
         if "\r" in line.rstrip("\r\n"):
-            raise ConfigError(f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n")
+            raise _bare_cr(path)
         if line.startswith("#"):
             inner = line[1:].strip()
             if "=" in inner:
@@ -301,6 +306,8 @@ def _parse_rows(path: str, text: str, dtype: np.dtype) -> np.ndarray:
     try:
         return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
+        if re.search("\r(?!\n)", text):  # searched only when a row fails, so clean files pay nothing
+            raise _bare_cr(path) from None
         bad = _first_bad_line(_data_lines(text), dtype)
     raise ConfigError(f"{path}: malformed row {bad.split(',')!r}")
 

@@ -48,7 +48,6 @@ from .spectral import _dirac_symbol, apply_multiplier, d2_field, multiply_field,
 __all__ = [
     "FracParams",
     "heat_semigroup",
-    "heat_euler",
     "heat_kernel_spectral",
     "heat_kernel_bessel",
     "bessel_i",
@@ -81,14 +80,6 @@ def heat_semigroup(f: LatticeField, s: float) -> LatticeField:
     """exp(s Laplacian) f via the multiplier e^{-s d(xi)^2}; s >= 0."""
     s = _heat_time(s)
     return multiply_field(f, np.exp(-s * d2_field(f.grid)))
-
-
-def heat_euler(f: LatticeField, s: float, steps: int) -> LatticeField:
-    """Explicit Euler march to time s in ``steps`` steps: heat_semigroup's first-order twin, without transforms."""
-    s, steps = _heat_time(s), _integer(steps, "steps", 1)
-    for _ in range(steps):
-        f = f + (s / steps) * discrete_laplacian(f)
-    return f
 
 
 def heat_kernel_spectral(grid: GridSpec, s: float) -> LatticeField:

@@ -19,12 +19,7 @@ solve that combines in its own transforms, or a plan.  Both routes run the
 same ``_combine``, so a slice has the same bits either way.
 
 For the central-difference model the result satisfies the three-level
-leapfrog recurrence exactly (per mode), which the residual helpers check;
-an independent position-space leapfrog marcher is provided as a brute-force
-cross-check.  The kernel path (inverse transforms of c and s, combined by
-discrete convolution with a (2 pi)^|-n/2| normalization) is a second,
-deliberately separate route to the same solution.  None of these twins
-touches a plan or ``_combine`` (see tests/test_oracle_independence.py).
+leapfrog recurrence exactly (per mode), which the residual helpers check.
 
 Admissible times: any real for the continuous model; integer multiples of
 tau/2 for the central-difference model (negative multiples run the
@@ -37,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import _alpha, _finite, _integer, _positive
+from .clifford import _alpha, _finite, _positive
 from .lattice import GridSpec, LatticeField, align, discrete_laplacian, norm
 from .spectral import SpectralField, _dirac_symbol, apply_multiplier, convolve, d2_field, dft, idft, scalar_kernel
-from .umbral import CflViolationError, DeltaOperator
+from .umbral import DeltaOperator
 
 # The time axis of every solver is a delta operator: TimeModel.continuous() or
 # TimeModel.central_difference(tau), which owns its time lattice, its CFL bound
@@ -54,7 +49,6 @@ __all__ = [
     "lambda_field",
     "lambda_max",
     "solve_kg",
-    "solve_kg_by_kernels",
     "wave_symbols",
     "wave_kernels",
     "kg_residual",
@@ -63,10 +57,6 @@ __all__ = [
     "solve_dirac",
     "dirac_residual",
     "continuous_dirac_residual",
-    "chebyshev_t",
-    "chebyshev_u",
-    "chebyshev_solve",
-    "leapfrog_march",
 ]
 
 
@@ -189,17 +179,6 @@ def _convolve_pair(K0: LatticeField, K1: LatticeField, f0: LatticeField, f1: Lat
     return (2.0 * np.pi) ** (-K0.grid.n / 2.0) * (convolve(K0, f0) + convolve(K1, f1))
 
 
-def solve_kg_by_kernels(data: CauchyData, time: TimeModel, m: float, t: float) -> LatticeField:
-    """Kernel-convolution route to solve_kg (cross-validation path).
-
-    (2 pi)^(-n/2) [ K0 * Phi0 + K1 * Phi1 ] with * the h^n-weighted discrete
-    convolution; the prefactor undoes the grid convolution theorem's
-    (2 pi)^(n/2).
-    """
-    K0, K1 = wave_kernels(data.grid, time, m, t)
-    return _convolve_pair(K0, K1, data.phi0, data.phi1)
-
-
 def _relative_residual(quot: LatticeField, rhs: LatticeField) -> float:
     """norm(quot - rhs) over the larger of the two sides' norms; zero fields give zero."""
     scale = max(norm(quot), norm(rhs))
@@ -318,75 +297,3 @@ def continuous_dirac_residual(phi0: LatticeField | Propagator, alpha: float, m: 
     return _richardson(plan, t, psi,
                        lambda mid: _dirac_velocity(dft(mid), alpha, m),
                        lambda plus, minus, mid, d: (plus - minus) * (1.0 / (2.0 * d)))
-
-
-# -- Chebyshev route -----------------------------------------------------------
-
-
-def _chebyshev(k: int, x: np.ndarray, p1: float) -> np.ndarray:
-    """P_k of the recurrence P_{j+1} = 2x P_j - P_{j-1} from P_0 = 1 and P_1 = p1 * x."""
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = p1 * x
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def chebyshev_t(k: int, x: np.ndarray) -> np.ndarray:
-    """T_k by the three-term recurrence (no trigonometric shortcuts)."""
-    k = _integer(k, "degree", 0)
-    return _chebyshev(k, np.asarray(x, dtype=float), 1.0)
-
-
-def chebyshev_u(k: int, x: np.ndarray) -> np.ndarray:
-    """U_k by recurrence; U_{-1} = 0."""
-    k = _integer(k, "degree", -1)
-    x = np.asarray(x, dtype=float)
-    return np.zeros_like(x) if k == -1 else _chebyshev(k, x, 2.0)
-
-
-def chebyshev_solve(data: CauchyData, tau: float, m: float, t: float) -> LatticeField:
-    """Central-difference solution via Chebyshev multipliers.
-
-    Applies T_k(chi) and (tau/2) U_{k-1}(chi) with chi = sqrt(1 -
-    (tau^2/4)(d^2 + m^2)) and k = 2t/tau a nonnegative integer; requires the
-    stability bound (chi real) and must agree with solve_kg on the
-    central-difference model.
-    """
-    tau, t = _positive(tau, "tau"), _finite(t, "time t")
-    kf = 2.0 * t / tau
-    k = round(kf)
-    if abs(kf - k) > 1e-9 * max(1.0, abs(kf)) or k < 0:
-        raise ValueError(f"2t/tau must be a nonnegative integer, got {kf}")
-    lam2 = d2_field(data.grid) + _finite(m, "mass m") ** 2
-    arg = 1.0 - tau**2 / 4.0 * lam2
-    if np.any(arg < 0.0):
-        raise CflViolationError(float(np.sqrt(lam2.max())), 2.0 / tau)
-    chi = np.sqrt(arg)
-    c = chebyshev_t(k, chi)
-    s = tau / 2.0 * chebyshev_u(k - 1, chi)
-    # its own combine, not solve_kg's _combine: a twin must not share the code it checks
-    support, (F0, F1) = align(dft(data.phi0), dft(data.phi1))
-    return idft(SpectralField._of(data.grid, support, c[..., None] * F0 + s[..., None] * F1))
-
-
-# -- brute-force oracle ---------------------------------------------------------
-
-
-def leapfrog_march(psi_prev: LatticeField, psi_cur: LatticeField, m: float, tau: float, steps: int) -> LatticeField:
-    """Position-space leapfrog: advance `steps` full steps from (t-tau, t).
-
-    Psi(t+tau) = 2 Psi(t) - Psi(t-tau) + tau^2 (Laplacian - m^2) Psi(t).
-    Returns the slice at t + steps*tau.  Deliberately shares no code with
-    the spectral path beyond the Laplacian stencil.
-    """
-    steps = _integer(steps, "steps", 0)
-    tau = _positive(tau, "tau")
-    m2 = _finite(m, "mass m") ** 2
-    prev, cur = psi_prev, psi_cur
-    for _ in range(steps):
-        nxt = 2.0 * cur - prev + tau**2 * (discrete_laplacian(cur) - m2 * cur)
-        prev, cur = cur, nxt
-    return cur

@@ -25,7 +25,6 @@ from .fractional import (
     FracParams,
     bessel_i,
     frac_power,
-    heat_euler,
     heat_kernel_bessel,
     heat_kernel_spectral,
     heat_semigroup,
@@ -44,31 +43,36 @@ from .lattice import (
     random_field,
     relative_gap,
 )
+from .oracles import (
+    _bessel_quadrature,
+    chebyshev_solve,
+    convolve_direct,
+    dft_direct,
+    egf_series_eval,
+    heat_euler,
+    leapfrog_march,
+    momentum_pairing,
+)
 from .propagators import (
     CauchyData,
     TimeModel,
-    chebyshev_solve,
     dirac_data,
     dirac_residual,
     kg_residual,
     lambda_max,
-    leapfrog_march,
     solve_dirac,
     solve_kg,
 )
 from .spectral import (
     convolve,
-    convolve_direct,
     d2_field,
     dft,
-    dft_direct,
     dirac_h_alpha,
     idft,
-    momentum_pairing,
     multiplier_z,
     z_field,
 )
-from .umbral import DeltaOperator, basic_sequence, egf_eval, egf_series_eval
+from .umbral import DeltaOperator, basic_sequence, egf_eval
 
 __all__ = ["CheckFailed", "run_all"]
 
@@ -370,16 +374,6 @@ def check_special_functions(b: _Bounds, rng: np.random.Generator) -> None:
             quad = math.exp(uu) * _bessel_quadrature(k, uu)
             # relative below |I_k| = 1, absolute above it
             b.at_most("bessel vs quadrature", abs(bessel_i(k, uu) - quad), 1e-10, min(1.0, abs(quad)))
-
-
-def _bessel_quadrature(k: int, u: float) -> float:
-    """e^{-u} I_k(u) = (1/pi) int_0^pi e^{u (cos theta - 1)} cos(k theta) dtheta by the trapezoid rule.
-
-    The twin of ``fractional``'s recurrence: the integrand is smooth and even
-    in theta, so the rule converges geometrically.
-    """
-    theta = np.linspace(0.0, math.pi, 20001)
-    return float(np.trapezoid(np.exp(u * (np.cos(theta) - 1.0)) * np.cos(k * theta), theta)) / math.pi
 
 
 @_check

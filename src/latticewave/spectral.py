@@ -13,9 +13,7 @@ with momentum points ``xi_k = 2 pi k / (N h)`` for ``k`` in
 is exactly inverse to the forward sum.
 
 ``dft``/``idft`` evaluate the definitional per-axis sums through an FFT
-(mathematically identical rescaling of ``numpy.fft``); ``dft_direct`` and
-``idft_direct`` keep the per-axis matrix summation as an independent
-reference path.
+(mathematically identical rescaling of ``numpy.fft``).
 
 Multipliers act by pointwise LEFT Clifford multiplication in momentum space.
 The discrete convolution implemented here is
@@ -27,8 +25,7 @@ whose exact transform identity on the grid is
     F[f * g](xi) = (2 pi)**(n/2) (F g)(xi) (F f)(-xi),
 
 mind both the reflection in the second factor and the operand order for
-noncommuting values.  ``convolve`` uses that identity; ``convolve_direct``
-is the quadratic-cost reference sum.
+noncommuting values.  ``convolve`` uses that identity.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import Multivector, Signature, _alpha, mul_arrays, mul_columns, pseudoscalar
-from .lattice import GridSpec, LatticeField, _CompactField, discrete_laplacian, norm
+from .clifford import Multivector, Signature, _alpha, mul_columns, pseudoscalar
+from .lattice import GridSpec, LatticeField, _CompactField
 
 __all__ = [
     "SpectralField",
@@ -51,18 +48,12 @@ __all__ = [
     "dirac_symbol",
     "dft",
     "idft",
-    "dft_direct",
-    "idft_direct",
     "apply_multiplier",
     "multiply_field",
     "scalar_kernel",
     "dirac_h_alpha",
-    "factorization_check",
     "convolve",
-    "convolve_direct",
     "reflect",
-    "momentum_pairing",
-    "momentum_weight",
 ]
 
 
@@ -215,34 +206,6 @@ def idft(F: SpectralField, out: np.ndarray | None = None) -> LatticeField:
     return _transform(F, LatticeField, np.fft.fftn, scale, out)
 
 
-def _fourier_matrix(N: int, sign: float) -> np.ndarray:
-    a = np.arange(N)
-    return np.exp(sign * 2j * np.pi * np.outer(a, a) / N)
-
-
-def _apply_axis_matrices(values: np.ndarray, grid: GridSpec, sign: float) -> np.ndarray:
-    # direct per-axis summation; quadratic per axis, reference path
-    out = values.astype(complex)
-    for axis in range(grid.n):
-        M = _fourier_matrix(grid.shape[axis], sign)
-        out = np.moveaxis(np.tensordot(M, out, axes=([1], [axis])), 0, axis)
-    return out
-
-
-def dft_direct(f: LatticeField) -> SpectralField:
-    """Definitional per-axis summation of the forward transform."""
-    g = f.grid
-    scale = g.h**g.n / (2.0 * np.pi) ** (g.n / 2.0)
-    return SpectralField(g, _apply_axis_matrices(f.values, g, +1.0) * scale)
-
-
-def idft_direct(F: SpectralField) -> LatticeField:
-    """Definitional per-axis summation of the inverse transform."""
-    g = F.grid
-    scale = (2.0 * np.pi) ** (g.n / 2.0) / (g.site_count * g.h**g.n)
-    return LatticeField(g, _apply_axis_matrices(F.values, g, -1.0) * scale)
-
-
 # -- multiplier application ---------------------------------------------------
 
 
@@ -309,20 +272,6 @@ def dirac_h_alpha(f: LatticeField, alpha: float | None = None) -> LatticeField:
     return multiply_field(f, _z_symbol(f.grid, alpha))
 
 
-def factorization_check(f: LatticeField, alpha: float, m: float) -> float:
-    """Relative residual of (D - m gamma)**2 f = (-Laplacian + m**2) f.
-
-    The squared operator is applied through momentum multipliers while the
-    right-hand side uses the position-space stencil, so the two sides share
-    no code path beyond the transform.
-    """
-    zm = _dirac_symbol(f.grid, alpha, m)
-    lhs = multiply_field(f, zm, zm)
-    rhs = -discrete_laplacian(f) + (m * m) * f
-    scale = norm(f)
-    return norm(lhs - rhs) / scale if scale > 1e-300 else norm(lhs - rhs)
-
-
 # -- convolution --------------------------------------------------------------
 
 
@@ -350,41 +299,3 @@ def convolve(f: LatticeField, g: LatticeField) -> LatticeField:
     support, prod = mul_columns(gr.n, Fg.support, Fg.columns, Ffr.support, Ffr.columns)
     prod *= (2.0 * np.pi) ** (gr.n / 2.0)
     return idft(SpectralField._of(gr, support, prod), out=prod)
-
-
-def convolve_direct(f: LatticeField, g: LatticeField) -> LatticeField:
-    """Quadratic-cost reference evaluation of the same convolution sum."""
-    f._check(g)
-    gr = f.grid
-    n = gr.n
-    hn = gr.h**n
-    out = np.zeros_like(f.values)
-    for x in np.ndindex(*gr.shape):
-        # f(y - x) as a field over y is f rolled forward by x
-        fyx = np.roll(f.values, shift=x, axis=tuple(range(n)))
-        prod = mul_arrays(n, g.values, fyx)
-        out[x] = hn * prod.reshape(-1, gr.blades).sum(axis=0)
-    return LatticeField(gr, out)
-
-
-# -- momentum-space pairing ----------------------------------------------------
-
-
-def momentum_weight(grid: GridSpec) -> float:
-    """Riemann weight per momentum point, (2 pi / (N h))**n."""
-    w = 1.0
-    for N in grid.shape:
-        w *= 2.0 * np.pi / (N * grid.h)
-    return w
-
-
-def momentum_pairing(F: SpectralField, G: SpectralField) -> Multivector:
-    """sum_xi w F(xi)^† G(xi); equals the position-space inner product."""
-    if F.grid != G.grid:
-        raise ValueError("grid mismatch")
-    n = F.grid.n
-    from .clifford import dagger_arrays
-
-    prod = mul_arrays(n, dagger_arrays(n, F.values), G.values)
-    total = prod.reshape(-1, F.grid.blades).sum(axis=0) * momentum_weight(F.grid)
-    return Multivector(F.grid.sig, total)

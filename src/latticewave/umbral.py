@@ -58,10 +58,7 @@ __all__ = [
     "basic_sequence",
     "poly_eval",
     "poly_derivative",
-    "poly_shift",
-    "difference_quotient",
     "egf_eval",
-    "egf_series_eval",
     "wave_multipliers",
     "wave_multiplier_arrays",
 ]
@@ -196,30 +193,6 @@ def poly_eval(p: Sequence, x):
 def poly_derivative(p: Sequence) -> tuple[Fraction, ...]:
     q = [Fraction(c) * k for k, c in enumerate(p)][1:]
     return _poly(q) if q else (_F0,)
-
-
-def poly_shift(p: Sequence, a) -> tuple[Fraction, ...]:
-    """Coefficients of p(t + a), exact for rational a."""
-    a = Fraction(a)
-    out = [_F0] * len(p)
-    for k, c in enumerate(Fraction(c) for c in p):
-        if not c:
-            continue
-        # c (t + a)^k expanded binomially
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * a ** (k - j)
-    return _poly(out)
-
-
-def difference_quotient(p: Sequence, tau) -> tuple[Fraction, ...]:
-    """[p(t + tau/2) - p(t - tau/2)] / tau, exactly."""
-    tau = Fraction(tau)
-    plus = poly_shift(p, tau / 2)
-    minus = poly_shift(p, -tau / 2)
-    n = max(len(plus), len(minus))
-    plus += (_F0,) * (n - len(plus))
-    minus += (_F0,) * (n - len(minus))
-    return _poly([(a - b) / tau for a, b in zip(plus, minus)])
 
 
 # -- delta operators -----------------------------------------------------------
@@ -451,19 +424,6 @@ def egf_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:
     ch = cmath.cosh(t * u)
     sh = cmath.sinh(t * u)
     return Multivector.scalar(s.sig, ch) + sh * omega
-
-
-def egf_series_eval(op: DeltaOperator, s: Multivector, t: float) -> Multivector:
-    """Truncated-series reference for egf_eval: explicit sum of m_k(t) s^k / k!."""
-    t = _finite_egf_input(s, t)
-    polys = basic_sequence(op)
-    acc = Multivector.scalar(s.sig, 0.0)
-    power = Multivector.scalar(s.sig, 1.0)
-    for k, p in enumerate(polys):
-        if k:
-            power = power * s
-        acc = acc + complex(poly_eval(p, t)) / math.factorial(k) * power
-    return acc
 
 
 # -- wave multipliers ----------------------------------------------------------

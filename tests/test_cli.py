@@ -98,7 +98,6 @@ def test_a_value_outside_its_rule_gets_the_library_message_under_its_key(tmp_pat
         (dict(initial_data="plane_wave", modes="1,2"), "modes.*1 components"),
         (dict(initial_velocity="gaussian"), "velocity_width.*required"),
         (dict(velocity_width=2.0), "velocity_width"),
-        (dict(equation="heat", time_model="central_difference", tau="0.5"), "heat"),
         (dict(equation="heat", initial_velocity="delta"), "first order"),
         (dict(equation="dirac"), "alpha.*required"),
         (dict(equation="dirac", alpha=0.25, initial_velocity="delta"), "dirac"),
@@ -330,6 +329,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["evolve", "--config", _config(tmp_path, "hn.cfg", **heat_neg), "--out", str(tmp_path / "o5")]) == 2
     assert "times: heat flow needs s >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o5").exists()
+
+
+@pytest.mark.parametrize("command,keys", [
+    (["evolve"], dict(equation="heat", initial_data="delta")),
+    (["kernel", "--kind", "heat"], {}),
+], ids=["evolve", "kernel"])
+def test_heat_flow_refuses_a_central_difference(tmp_path, capsys, command, keys):
+    cfg = _config(tmp_path, dim=1, points=8, spacing=1.0, mass=0.0, times="0.5",
+                  time_model="central_difference", tau=0.5, **keys)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "time_model: heat flow runs in continuous time only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,14 @@ def test_a_file_of_bare_cr_lines_is_refused_naming_its_line_ending(tmp_path, chu
     assert str(got.value) == f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n"
 
 
+def test_data_lines_of_bare_cr_are_refused_naming_their_line_ending(tmp_path, chunk):
+    # the grid lines end in \n, so only the rows run together
+    path = _write(tmp_path, "f.csv", HEAD + GOOD.replace("\n", "\r") + "2,,3.0,0.0\n")
+    with pytest.raises(ConfigError) as got:
+        load_field(path)
+    assert str(got.value) == f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n"
+
+
 def test_other_spellings_of_a_blade(tmp_path, chunk):
     # labels outside the canonical table but valid to the previous reader
     text = HEAD + "1, 1,2.0,0.0\n2,01,3.0,0.0\n3,1·2,4.0,0.0\n"

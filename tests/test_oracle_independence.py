@@ -15,12 +15,20 @@ one row per (closed form, twin) pair:
 Each row runs on 1D-3D grids under ``sys.setprofile``, which sees every call
 of a Python function.  The rows look the twins up on their modules when they
 run, so a planted fault that reroutes a twin fails here.
+
+The trace sees only the paths its inputs take, so the source of every twin
+in ``latticewave.oracles`` is read too: the static pass walks the body of the
+twin and of each ``oracles`` helper it names, resolves every name through
+the module's globals, and fails on anything in the row's ``never``.  No
+module but ``latticewave`` and ``selftest`` may import ``oracles``.
 """
 
+import ast
 import math
 import sys
 import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -29,15 +37,16 @@ import pytest
 import latticewave.clifford as clifford
 import latticewave.fractional as fractional
 import latticewave.lattice as lattice
+import latticewave.oracles as oracles
 import latticewave.propagators as propagators
-import latticewave.selftest as selftest
 import latticewave.spectral as spectral
 import latticewave.umbral as umbral
-from latticewave import CauchyData, FracParams, GridSpec, TimeModel, random_field
+from latticewave import CauchyData, FracParams, GridSpec, Multivector, TimeModel, pseudoscalar, random_field
 
 GRIDS = [GridSpec((8,), 0.7, 0.25, 0.9), GridSpec((6, 4), 0.5, 0.1, 1.3), GridSpec((4, 4, 2), 0.8, 0.5, 0.6)]
 TAU = 0.1  # inside the CFL bound of every grid above
 PARAMS = FracParams(0.3, 1.1)
+POLY = (1, -2, 0, 3, 1)  # a polynomial in t, lowest power first
 
 TRANSFORMS = "criterion 4 checks the transforms against the dense sums, which call no FFT"
 SYMBOL = "criterion 3 checks the symbol: z(xi) squares to d(xi)^2"
@@ -48,8 +57,9 @@ def _inputs(grid: GridSpec) -> types.SimpleNamespace:
     rng = np.random.default_rng(7 * grid.n)
     f, g = random_field(grid, rng), random_field(grid, rng)
     data = CauchyData(random_field(grid, rng), random_field(grid, rng, scalar=True))
-    return types.SimpleNamespace(grid=grid, m=grid.mass, f=f, g=g, F=spectral.dft(f), data=data,
-                                 time=TimeModel.central_difference(TAU))
+    s = Multivector.generator(grid.sig, grid.n + 1) * 0.3 + pseudoscalar(grid.sig) * 0.4  # s^2 = 0.25
+    return types.SimpleNamespace(grid=grid, m=grid.mass, f=f, g=g, F=spectral.dft(f), G=spectral.dft(g), data=data,
+                                 time=TimeModel.central_difference(TAU), s=s)
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,14 @@ ROWS = [
     Row(
         "transforms",
         lambda x: (spectral.dft(x.f), spectral.idft(x.F)),
-        lambda x: (spectral.dft_direct(x.f), spectral.idft_direct(x.F)),
+        lambda x: (oracles.dft_direct(x.f), oracles.idft_direct(x.F)),
         path=(spectral._transform, np.fft),
         never=(spectral.dft, spectral.idft, spectral._transform, np.fft),
     ),
     Row(
         "kg-leapfrog",
         _solve_kg,
-        lambda x: propagators.leapfrog_march(x.data.phi0, x.data.phi1, x.m, TAU, 3),
+        lambda x: oracles.leapfrog_march(x.data.phi0, x.data.phi1, x.m, TAU, 3),
         path=KG_PATH,
         never=(propagators.Propagator, propagators._combine, propagators.solve_kg, propagators.TimeModel,
                spectral, umbral, np.fft),
@@ -97,7 +107,7 @@ ROWS = [
     Row(
         "kg-chebyshev",
         _solve_kg,
-        lambda x: propagators.chebyshev_solve(x.data, TAU, x.m, 3 * TAU),
+        lambda x: oracles.chebyshev_solve(x.data, TAU, x.m, 3 * TAU),
         path=KG_PATH,
         never=(propagators.Propagator, propagators._combine, propagators.solve_kg, propagators.lambda_field,
                propagators.TimeModel, umbral),
@@ -106,7 +116,7 @@ ROWS = [
     Row(
         "kg-kernels",
         _solve_kg,
-        lambda x: propagators.solve_kg_by_kernels(x.data, x.time, x.m, 3 * TAU),
+        lambda x: oracles.solve_kg_by_kernels(x.data, x.time, x.m, 3 * TAU),
         path=KG_PATH,
         never=(propagators.Propagator, propagators._combine, propagators.solve_kg),
         shared={
@@ -131,7 +141,7 @@ ROWS = [
     Row(
         "convolution",
         lambda x: spectral.convolve(x.f, x.g),
-        lambda x: spectral.convolve_direct(x.f, x.g),
+        lambda x: oracles.convolve_direct(x.f, x.g),
         path=(spectral.dft, spectral.idft, clifford.mul_columns),
         never=(spectral.convolve, spectral.dft, spectral.idft, spectral._transform, spectral.reflect, np.fft),
         shared={clifford.mul_columns: "the pointwise geometric product; "
@@ -147,7 +157,7 @@ ROWS = [
     Row(
         "bessel-recurrence",
         lambda x: fractional.bessel_i(3, 0.8 / x.grid.h**2),  # u = 2s/h^2 of the heat-kernel row
-        lambda x: selftest._bessel_quadrature(3, 0.8 / x.grid.h**2),
+        lambda x: oracles._bessel_quadrature(3, 0.8 / x.grid.h**2),
         path=(fractional._scaled_bessel,),
         never=(fractional,),
     ),
@@ -180,13 +190,38 @@ ROWS = [
     Row(
         "heat-euler",
         lambda x: fractional.heat_semigroup(x.f, 0.3),
-        lambda x: fractional.heat_euler(x.f, 0.3, 8),
+        lambda x: oracles.heat_euler(x.f, 0.3, 8),
         path=(fractional.heat_semigroup, spectral.multiply_field),
         never=(fractional.heat_semigroup, spectral, np.fft),
         shared={
             lattice.discrete_laplacian: "the position-space stencil; "
             "criterion 2 checks (D - m gamma)^2 against it",
             fractional._heat_time: "the check that the heat time is finite and nonnegative",
+        },
+    ),
+    Row(
+        "egf-series",
+        lambda x: umbral.egf_eval(x.time, x.s, 3 * TAU),
+        lambda x: oracles.egf_series_eval(x.time, x.s, 3 * TAU),
+        path=(umbral._split_square_root, umbral._central_phase),
+        never=(umbral._split_square_root, umbral._central_phase),
+    ),
+    Row(
+        "difference-quotient",
+        lambda x: x.time.apply(POLY),
+        lambda x: oracles.difference_quotient(POLY, x.time.tau),
+        path=(umbral.DeltaOperator,),
+        never=(umbral.DeltaOperator,),
+    ),
+    Row(
+        "momentum-pairing",
+        lambda x: lattice.inner_product(x.f, x.g),
+        lambda x: oracles.momentum_pairing(x.F, x.G),
+        path=(lattice.inner_product,),
+        never=(lattice.inner_product,),
+        shared={
+            clifford.mul_arrays: "the pointwise geometric product; criterion 1 checks it against the algebra relations",
+            clifford.dagger_arrays: "the dagger conjugation; criterion 1 checks it against the algebra relations",
         },
     ),
 ]
@@ -295,13 +330,28 @@ def _series_through_the_closed_form(series):
     return umbral.DeltaOperator.central_difference(TAU)
 
 
+def _egf_through_the_closed_form(op, s, t):
+    return umbral.egf_eval(op, s, t)
+
+
+def _quotient_through_apply(p, tau):
+    return umbral.DeltaOperator.central_difference(tau).apply(p)
+
+
+def _pairing_through_the_inner_product(F, G):
+    return lattice.inner_product(spectral.idft(F), spectral.idft(G))
+
+
 PLANTED = [
     ("kg-custom-series", umbral.DeltaOperator, "from_series", _series_through_the_closed_form, "_central_phase"),
-    ("kg-chebyshev", propagators, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
-    ("kg-leapfrog", propagators, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
+    ("kg-chebyshev", oracles, "chebyshev_solve", _kg_through_the_plan, "propagators.Propagator"),
+    ("kg-leapfrog", oracles, "leapfrog_march", _leapfrog_through_solve_kg, "propagators.solve_kg"),
     ("frac-power", fractional, "_frac_power_subordination", _subordination_through_the_power, "_power_multiplier"),
-    ("heat-euler", fractional, "heat_euler", _euler_through_the_semigroup, "fractional.heat_semigroup"),
-    ("bessel-recurrence", selftest, "_bessel_quadrature", _quadrature_through_bessel_i, "latticewave.fractional"),
+    ("heat-euler", oracles, "heat_euler", _euler_through_the_semigroup, "fractional.heat_semigroup"),
+    ("bessel-recurrence", oracles, "_bessel_quadrature", _quadrature_through_bessel_i, "latticewave.fractional"),
+    ("egf-series", oracles, "egf_series_eval", _egf_through_the_closed_form, "_split_square_root"),
+    ("difference-quotient", oracles, "difference_quotient", _quotient_through_apply, "umbral.DeltaOperator"),
+    ("momentum-pairing", oracles, "momentum_pairing", _pairing_through_the_inner_product, "lattice.inner_product"),
 ]
 
 
@@ -312,3 +362,113 @@ def test_a_planted_fault_fails_its_row(monkeypatch, row_id, module, name, fault,
     monkeypatch.setattr(module, name, fault)
     found = _violations(ROW[row_id], x)
     assert any(caught in v for v in found), found
+
+
+# -- the source ----------------------------------------------------------------------
+
+SOURCE = Path(oracles.__file__).read_text(encoding="utf-8")
+IMPORTERS = {"__init__", "selftest"}
+
+
+def _resolve(node: ast.AST, namespace: dict):
+    """The object that a name, or a dotted attribute chain on one, names in ``namespace``; None if none."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, namespace)
+        return None if base is None else getattr(base, node.attr, None)
+    return None
+
+
+def _is(obj, target) -> bool:
+    """Whether ``obj`` is ``target``, one of its methods, or lives in it.
+
+    An exception class counts for nothing: raising the error type of a
+    module runs none of the code a row checks.
+    """
+    if obj is target:
+        return True
+    if isinstance(target, type):
+        return any(getattr(obj, "__func__", obj) is fn for fn in _functions(target))
+    if not isinstance(target, types.ModuleType) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+        return False
+    home = obj.__name__ if isinstance(obj, types.ModuleType) else getattr(obj, "__module__", None)
+    return isinstance(home, str) and (home == target.__name__ or home.startswith(target.__name__ + "."))
+
+
+def _static_violations(row: Row, source: str, namespace: dict) -> list[str]:
+    """What the bodies of ``row``'s twin in ``source``, and of the helpers there it names, name against the row.
+
+    Every name and attribute chain is resolved through ``namespace``, the
+    module's globals, so a local that shadows a global counts as that global.
+    """
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    todo = [name for name in row.twin.__code__.co_names if name in defs]
+    seen, found = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in (n for stmt in defs[name].body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            obj = _resolve(node, namespace)
+            found += [f"{name}: {ast.unparse(node)} is {_name(t)}" for t in row.never if obj is not None and _is(obj, t)]
+    return found
+
+
+STATIC_ROWS = [row for row in ROWS
+               if any(getattr(getattr(oracles, name, None), "__module__", None) == oracles.__name__
+                      for name in row.twin.__code__.co_names)]
+
+
+@pytest.mark.parametrize("row", STATIC_ROWS, ids=[row.id for row in STATIC_ROWS])
+def test_the_twin_source_names_nothing_its_row_forbids(row):
+    assert not _static_violations(row, SOURCE, vars(oracles))
+
+
+def _run_as_oracles(source: str) -> dict:
+    """The globals of ``source`` run as a module of the package, as ``oracles`` is."""
+    namespace = {"__name__": "latticewave._planted", "__package__": "latticewave"}
+    exec(compile(source, "<planted oracles>", "exec"), namespace)
+    return namespace
+
+
+def test_a_planted_transform_in_the_leapfrog_source_fails_its_row():
+    assert not _static_violations(ROW["kg-leapfrog"], SOURCE, _run_as_oracles(SOURCE))
+    march = "        nxt = 2.0 * cur - prev"
+    assert SOURCE.count(march) == 1
+    planted = SOURCE.replace(march, "        dft(cur)\n" + march)
+    found = _static_violations(ROW["kg-leapfrog"], planted, _run_as_oracles(planted))
+    assert found == ["leapfrog_march: dft is latticewave.spectral"], found
+
+
+def _importers(sources: dict) -> set:
+    """The modules among ``sources`` (module name: source) that import ``oracles``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("oracles" in name.split(".") for name in names):
+                found.add(module)
+    return found
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in Path(oracles.__file__).parent.glob("*.py")}
+
+
+def test_only_the_package_and_selftest_import_the_oracles():
+    assert _importers(_package_sources()) == IMPORTERS
+
+
+def test_a_planted_oracles_import_in_propagators_is_found():
+    sources = _package_sources()
+    sources["propagators"] += "\nfrom .oracles import leapfrog_march\n"
+    assert _importers(sources) == IMPORTERS | {"propagators"}

@@ -27,7 +27,8 @@ from latticewave import (
     wave_multipliers,
 )
 from latticewave import umbral
-from latticewave.umbral import difference_quotient, poly_eval
+from latticewave.oracles import difference_quotient
+from latticewave.umbral import poly_eval
 
 
 def _pad(p, q):
