@@ -6,11 +6,14 @@ coefficient.  Sites are integer lattice indices (multiply by the spacing
 for physical coordinates); blades are middle-dot joined 1-based generator
 indices ("" for the scalar part, "1", "1·3", ...); floats are written with
 ``repr`` so ``load_field(store_field(f))`` is bit-exact for finite values;
-rows are ordered lexicographically by site, then blade.  The reader skips
-blank lines and lines that start with ``#``; a ``#`` anywhere else belongs
-to its cell, so the row is malformed.  ``write_rows`` emits every CSV row
-the package writes: field rows, heat-kernel pairs and the ``spectrum``
-sweep.  A file that cannot be read or written is a ``ConfigError``.
+rows are ordered lexicographically by site, then blade.  Lines end in ``\\n``
+or ``\\r\\n``; any other ``\\r``, in a grid line, a comment or a row, is
+refused by name (``_newlines``, which sees every line before it is decoded).
+The reader skips lines that start with ``#`` and lines of whitespace only; a
+``#`` anywhere else belongs to its cell, so the row is malformed.
+``write_rows`` emits every CSV row the package writes: field rows,
+heat-kernel pairs and the ``spectrum`` sweep.  A file that cannot be read or
+written is a ``ConfigError``.
 
 The reader parses the data in chunks of bytes, each completed to a line end.
 On Linux, ``_Worker`` forks every process the package runs, under one rule.
@@ -118,9 +121,6 @@ _WRITER_ROWS = 1 << 14
 # Data of at least this many bytes (after the header) is split with a forked reader: on a 2-vCPU Xeon
 # the split's extra CPU (7-33 ms) is a quarter of the half parse it moves or less from 2**23 bytes up
 _READER_BYTES = 1 << 23
-# asked of F_SETPIPE_SZ for a worker's pipe, Linux's cap for unprivileged processes: a few chunks of
-# rows in flight, so that the reader and its parent do not run in lockstep as with the default 64 KiB
-_PIPE_BYTES = 1 << 20
 
 
 def _send(pipe: int, *arrays: np.ndarray) -> None:
@@ -150,10 +150,6 @@ class _Worker:
                 or len(os.sched_getaffinity(0)) - 1 <= running):
             return None
         read, write = os.pipe()
-        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's, and a cap may refuse it
-            import fcntl
-
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         try:
             pid = os.fork()
             if pid == 0:
@@ -243,9 +239,13 @@ def _reading(path: str):
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _bare_cr(path: str) -> ConfigError:
-    """The error of a field file whose lines run together at a bare carriage return."""
-    return ConfigError(f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n")
+def _newlines(path: str, data: bytes) -> bytes:
+    """``data``, lines of a field file, with each ``\\r\\n`` made ``\\n``; any other ``\\r`` is a ConfigError."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            raise ConfigError(f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n")
+    return data
 
 
 def _read_grid(fh, path: str) -> GridSpec:
@@ -253,16 +253,14 @@ def _read_grid(fh, path: str) -> GridSpec:
     meta: dict[str, str] = {}
     header = None
     for raw in fh:
-        line = raw.decode("utf-8")
-        if "\r" in line.rstrip("\r\n"):
-            raise _bare_cr(path)
+        line = _newlines(path, raw).decode("utf-8")
         if line.startswith("#"):
             inner = line[1:].strip()
             if "=" in inner:
                 k, _, v = inner.partition("=")
                 meta[k.strip()] = v.strip()
         elif line.strip():
-            header = line.rstrip("\r\n").split(",")
+            header = line.rstrip("\n").split(",")
             break
     for key in ("shape", "spacing", "alpha", "mass"):
         if key not in meta:
@@ -284,7 +282,7 @@ def _chunks(fh) -> Iterator[bytes]:
 
 def _data_lines(text: str) -> list[str]:
     """The lines of ``text`` (comment and blank lines emptied) that np.loadtxt reads as rows."""
-    return [line.rstrip("\r") for line in text.split("\n") if line]
+    return [line for line in text.split("\n") if line]
 
 
 def _first_bad_line(lines: list[str], dtype: np.dtype) -> str:
@@ -306,8 +304,6 @@ def _parse_rows(path: str, text: str, dtype: np.dtype) -> np.ndarray:
     try:
         return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
-        if re.search("\r(?!\n)", text):  # searched only when a row fails, so clean files pay nothing
-            raise _bare_cr(path) from None
         bad = _first_bad_line(_data_lines(text), dtype)
     raise ConfigError(f"{path}: malformed row {bad.split(',')!r}")
 
@@ -341,7 +337,7 @@ def _row_parser(path: str, grid: GridSpec) -> Callable[[bytes], _Rows]:
 
     def parse(chunk: bytes) -> _Rows:
         # a leading newline puts every line, the first too, after a "\n"
-        text = _SKIPPED_LINE.sub("\n", "\n" + chunk.decode("utf-8"))
+        text = _SKIPPED_LINE.sub("\n", "\n" + _newlines(path, chunk).decode("utf-8"))
         rows = _parse_rows(path, text, dtype)
         sites = tuple(rows[f"x{a + 1}"] for a in range(grid.n))
         for axis, (col, N) in enumerate(zip(sites, grid.shape)):

@@ -276,7 +276,7 @@ class DeltaOperator:
 
     def multipliers(self, lam: np.ndarray, t: float):
         """The wave-multiplier pair (c, s) over the frequencies lam at an admissible time t."""
-        return wave_multiplier_arrays(self, lam, self.validate_time(t))
+        return wave_multiplier_arrays(self, lam, t)
 
     def apply(self, p: Sequence) -> tuple[Fraction, ...]:
         """Apply L(d/dt) to a polynomial in t; exact, truncation-free.
@@ -466,7 +466,7 @@ def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float):
         raise ValueError("frequencies must be nonnegative")
     if not np.all(np.isfinite(lam)):
         raise ValueError("frequencies must be finite")
-    t = _finite(t, "time t")
+    t = op.validate_time(t)
     phi = op.phase(lam, t)
     safe = np.where(lam == 0.0, 1.0, lam)
     return np.cos(phi), np.where(lam == 0.0, t * op.inverse_slope, np.sin(phi) / safe)

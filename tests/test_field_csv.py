@@ -241,6 +241,19 @@ def test_data_lines_of_bare_cr_are_refused_naming_their_line_ending(tmp_path, ch
     assert str(got.value) == f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n"
 
 
+@pytest.mark.parametrize("text", [
+    HEAD + "0,,1.0,0.0\n# note\r1,,2.0,0.0\n",
+    HEAD.replace("# alpha=0.0\n", "# alpha=0.0\r# note\n") + "0,,1.0,0.0\n",
+], ids=["data-comment", "grid-comment"])
+def test_a_comment_that_ends_in_a_bare_cr_is_refused_naming_its_line_ending(tmp_path, chunk, text):
+    # a comment runs to its line's end; were it to run through the \r, it would swallow the row
+    # after it, which the row-by-row reader reads
+    path = _write(tmp_path, "f.csv", text)
+    with pytest.raises(ConfigError) as got:
+        load_field(path)
+    assert str(got.value) == f"{path}: a line ends in a bare carriage return (\\r); end lines in \\n or \\r\\n"
+
+
 def test_other_spellings_of_a_blade(tmp_path, chunk):
     # labels outside the canonical table but valid to the previous reader
     text = HEAD + "1, 1,2.0,0.0\n2,01,3.0,0.0\n3,1·2,4.0,0.0\n"

@@ -11,14 +11,18 @@ stores.
 """
 
 import filecmp
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latticewave.cli as cli
+import latticewave.fractional as fractional
 from latticewave import FracParams, GridSpec, TimeModel, fractional_kernels, random_field, solve_dirac, wave_kernels
 from latticewave.cli import main, store_field
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SOLVERS = ("solve_kg", "solve_dirac", "solve_kg_fractional", "heat_semigroup")
 TAU = 0.5
 
@@ -169,3 +173,35 @@ def test_heat_and_fractional_runs_solve_each_slice_once(equation, model, tmp_pat
         slices = {t + d for t in times for d in ((0.0, -TAU, TAU) if "tau" in model else (0.0,))}
         assert len(solved) == len(calls)
     assert sorted(solved) == sorted(slices)
+
+
+GOLDEN_COUNTS = [
+    ("heat2d", {"dft": 5, "idft": 5, "frac_power": 0}),
+    ("frac_kg2d", {"dft": 26, "idft": 26, "frac_power": 8}),
+]
+
+
+@pytest.mark.parametrize("name,counts", GOLDEN_COUNTS, ids=[c[0] for c in GOLDEN_COUNTS])
+def test_golden_heat_and_fractional_runs_keep_their_transform_counts(name, counts, tmp_path, monkeypatch,
+                                                                      transforms):
+    # The baseline that a shared propagation path for heat and fractional_kg is to cut down.
+    # heat2d, times 0.25 and 0.5: heat_semigroup transforms Phi0 anew at each of the 3 distinct
+    # slices (0.125, 0.25, 0.5), a dft and an idft each, and each of the 2 semigroup checks
+    # transforms its half-time field once more: 5 of each.
+    # frac_kg2d, tau 0.5, times 0.5 and 1.0: solve_kg_fractional runs at 4 slices (0, 0.5, 1.0,
+    # 1.5), each 6 dft and 6 idft: frac_power of Phi0 and of Phi1 (a pair each), the K0 and K1
+    # kernels (an idft each) and two convolutions (2 dft and an idft each); 24 of each.  The
+    # equivalence check's solve_kg plan adds F Phi0 and F Phi1 once, and one idft per output time.
+    powers = {"frac_power": 0}
+    orig = fractional.frac_power
+
+    def counted(*args, **kwargs):
+        powers["frac_power"] += 1
+        return orig(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if m is not None and key.startswith("latticewave")]:
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, counted)
+    assert main(["evolve", "--config", str(FIXTURES / f"{name}.cfg"), "--out", str(tmp_path / "out")]) == 0
+    assert {**transforms, **powers} == counts

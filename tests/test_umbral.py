@@ -435,6 +435,17 @@ def test_multipliers_refuse_a_negative_frequency():
         wave_multiplier_arrays(DeltaOperator.derivative(), np.array([1.0, -1.0]), 0.5)
 
 
+@pytest.mark.parametrize("route", [
+    lambda op: wave_multipliers(op, 1.0, 0.3),
+    lambda op: wave_multiplier_arrays(op, np.array([1.0]), 0.3),
+    lambda op: op.multipliers(np.array([1.0]), 0.3),
+], ids=["scalar", "arrays", "time-model"])
+def test_every_multiplier_route_refuses_a_time_off_the_half_step_lattice(route):
+    # a central difference lives on t in (tau/2) Z; the scalar and array routes once evaluated it anywhere
+    with pytest.raises(ValueError, match=r"^time 0\.3 is not an integer multiple of tau/2 = 0\.25$"):
+        route(DeltaOperator.central_difference(0.5))
+
+
 @pytest.mark.parametrize("coeffs", [[1, 1], [0], [0, 0, 1]], ids=["b0", "short", "b1"])
 def test_a_custom_series_must_start_with_a_linear_term(coeffs):
     with pytest.raises(ValueError, match="requires b_0 = 0 and b_1 != 0"):
