@@ -41,6 +41,7 @@ __all__ = [
     "mul_columns",
     "active_blades",
     "dagger_arrays",
+    "dagger_columns",
     "blade_mask",
     "blade_indices",
 ]
@@ -220,13 +221,18 @@ def mul_arrays(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dagger_columns(n: int, support, columns: np.ndarray) -> np.ndarray:
+    """The dagger conjugation of blade columns: column ``c`` of ``columns`` holds blade ``support[c]``."""
+    _, dsign = _tables(n)
+    return np.conj(columns) * dsign[np.asarray(support, dtype=np.intp)]
+
+
 def dagger_arrays(n: int, arr: np.ndarray) -> np.ndarray:
     """Apply the dagger conjugation to a blade-coefficient array."""
-    _, dsign = _tables(n)
     arr = np.asarray(arr, dtype=complex)
     if arr.shape[-1] != (1 << (2 * n)):
         raise ValueError("coefficient array has wrong blade count")
-    return np.conj(arr) * dsign
+    return dagger_columns(n, np.arange(arr.shape[-1]), arr)
 
 
 def blade_mask(sig: Signature, indices: Iterable[int]) -> int:
@@ -248,14 +254,7 @@ def blade_mask(sig: Signature, indices: Iterable[int]) -> int:
 
 def blade_indices(mask: int) -> tuple[int, ...]:
     """Sorted 1-based generator indices of a blade mask."""
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
+    return tuple(j + 1 for j in range(int(mask).bit_length()) if mask >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -288,12 +287,7 @@ class Multivector:
     @classmethod
     def generator(cls, sig: Signature, j: int) -> "Multivector":
         """Generator e_j, 1-based; j <= n squares to -1, j > n to +1."""
-        j = _integer(j, "generator index")
-        if not (1 <= j <= sig.generators):
-            raise ValueError(f"generator index {j} outside 1..{sig.generators}")
-        c = np.zeros(sig.blades, dtype=complex)
-        c[1 << (j - 1)] = 1.0
-        return cls(sig, c)
+        return cls.blade(sig, [j])
 
     @classmethod
     def blade(cls, sig: Signature, indices: Iterable[int], coeff: complex = 1.0) -> "Multivector":

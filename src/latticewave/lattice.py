@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import (Multivector, Signature, _alpha, _integer, _nonnegative, _positive, active_blades, dagger_arrays,
-                       mul_arrays, mul_columns)
+from .clifford import (Multivector, Signature, _alpha, _integer, _nonnegative, _positive, active_blades, dagger_columns,
+                       mul_columns)
 
 __all__ = [
     "GridSpec",
@@ -396,11 +396,13 @@ def dirac_kahler_dagger(f: LatticeField) -> LatticeField:
 
 
 def inner_product(f: LatticeField, g: LatticeField) -> Multivector:
-    """Multivector pairing sum_x h**n f(x)^† g(x)."""
+    """Multivector pairing sum_x h**n f(x)^† g(x), on the product of the two supports."""
     f._check(g)
     n = f.grid.n
-    prod = mul_arrays(n, dagger_arrays(n, f.values), g.values)
-    total = prod.reshape(-1, f.grid.blades).sum(axis=0) * f.grid.h**n
+    support, cols = mul_columns(n, f.support, dagger_columns(n, f.support, f.columns), g.support, g.columns)
+    total = np.zeros(f.grid.blades, dtype=complex)
+    # summed as real pairs, so each column adds its sites in order, as a dense (sites, 4**n) sum does
+    total[list(support)] = cols.view(float).sum(axis=tuple(range(n))).view(complex) * f.grid.h**n
     return Multivector(f.grid.sig, total)
 
 

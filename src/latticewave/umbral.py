@@ -462,10 +462,10 @@ def wave_multipliers(op: DeltaOperator, lam: float, t: float):
 def wave_multiplier_arrays(op: DeltaOperator, lam: np.ndarray, t: float):
     """Vectorized wave_multipliers over an array of nonnegative frequencies."""
     lam = _real_array(lam, "frequencies")
+    if not np.all(np.isfinite(lam)):  # first, as _nonnegative: -inf is not finite
+        raise ValueError("frequencies must be finite")
     if np.any(lam < 0):
         raise ValueError("frequencies must be nonnegative")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("frequencies must be finite")
     t = op.validate_time(t)
     phi = op.phase(lam, t)
     safe = np.where(lam == 0.0, 1.0, lam)

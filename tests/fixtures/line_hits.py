@@ -7,9 +7,11 @@ the pytest arguments given) in this process under a line tracer
 (``sys.settrace`` and ``threading.settrace``, standard library only).  It
 then prints, for each module of ``src/latticewave``, the executable lines
 (those that ``co_lines`` maps an instruction to, in any code object the
-module compiles to) that no test ran, as ranges.  Code that the suite
-reaches only in a child process, such as ``cmd_selftest`` through the
-console script or the benchmark's children, counts as not run.  The package
+module compiles to) that no test ran, as ranges.  A forked worker keeps
+the tracer, and hands the lines it ran to this process when it calls
+``os._exit``.  Code that the suite reaches only in a started child process,
+such as ``cmd_selftest`` through the console script or the benchmark's
+children, counts as not run.  The package
 is imported from this checkout's ``src``, which also leads the children's
 ``PYTHONPATH``, as in tier-1's command.  Like ``golden_gap.py``, the
 script only measures: it exits 0 whatever the suite's outcome.
@@ -17,6 +19,7 @@ script only measures: it exits 0 whatever the suite's outcome.
 
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -72,13 +75,33 @@ def main(argv: list[str]) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     import pytest
 
-    threading.settrace(tracer)
-    sys.settrace(tracer)
-    try:
-        status = pytest.main(argv or TIER1)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    parent, real_exit = os.getpid(), os._exit
+
+    def spooling_exit(code: int) -> None:
+        # a forked worker's hits die with it: it writes them into the spool first
+        try:
+            if os.getpid() != parent:
+                sys.settrace(None)
+                with open(os.path.join(spool, f"{os.getpid()}.txt"), "w", encoding="utf-8") as fh:
+                    fh.writelines(f"{name}\t{line}\n" for name, seen in hits.items() for line in seen)
+        finally:
+            real_exit(code)
+
+    with tempfile.TemporaryDirectory() as spool:
+        os._exit = spooling_exit
+        threading.settrace(tracer)
+        sys.settrace(tracer)
+        try:
+            status = pytest.main(argv or TIER1)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            os._exit = real_exit
+        for entry in os.listdir(spool):
+            with open(os.path.join(spool, entry), encoding="utf-8") as fh:
+                for row in fh:
+                    name, line = row.rstrip("\n").split("\t")
+                    hits[name].add(int(line))
 
     total = modules = 0
     print(f"\npytest exit status {int(status)}; lines no test ran, per module:")

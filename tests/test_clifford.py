@@ -12,7 +12,7 @@ from latticewave import (
     blade_mask,
     pseudoscalar,
 )
-from latticewave.clifford import _tables, mul_arrays
+from latticewave.clifford import _tables, dagger_arrays, dagger_columns, mul_arrays
 
 
 def _rand(sig, rng):
@@ -139,8 +139,10 @@ def test_constructor_validation():
     sig = Signature(2)
     with pytest.raises(ValueError):
         Multivector(sig, np.zeros(7))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"generator index 5 outside 1\.\.4"):
         Multivector.generator(sig, 5)
+    with pytest.raises(ValueError, match="generator index must be an integer, got 1.5"):
+        Multivector.generator(sig, 1.5)
     with pytest.raises(ValueError):
         Signature(0)
     with pytest.raises(ValueError):
@@ -227,3 +229,21 @@ def test_mul_arrays_property_random_supports(n, shape, bits, seed):
     rng = np.random.default_rng(seed)
     a, b = (_with_support(shape, n, [k for k in range(size) if mask >> k & 1], rng) for mask in bits)
     assert np.array_equal(mul_arrays(n, a, b), _dense_mul(n, a, b))
+
+
+def test_mul_arrays_refuses_a_wrong_blade_count():
+    with pytest.raises(ValueError, match="coefficient arrays must have last axis 4"):
+        mul_arrays(1, np.zeros(4), np.zeros(3))
+
+
+def test_dagger_arrays_refuses_a_wrong_blade_count():
+    with pytest.raises(ValueError, match="coefficient array has wrong blade count"):
+        dagger_arrays(1, np.zeros(3))
+
+
+def test_dagger_columns_are_the_dense_dagger_on_their_blades(rng):
+    n, support = 2, (0, 3, 6, 15)
+    arr = np.zeros((5, 16), dtype=complex)
+    arr[:, support] = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    dense = dagger_arrays(n, arr)
+    assert dagger_columns(n, support, arr[:, support]).tobytes() == dense[:, support].tobytes()

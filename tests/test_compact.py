@@ -33,6 +33,7 @@ from latticewave import (
     dirac_kahler_dagger,
     discrete_laplacian,
     idft,
+    inner_product,
     kg_residual,
     norm,
     random_field,
@@ -42,7 +43,7 @@ from latticewave import (
     solve_kg,
 )
 from latticewave.cli import load_field, store_field
-from latticewave.clifford import _tables, blade_indices, mul_columns
+from latticewave.clifford import _tables, blade_indices, dagger_arrays, mul_arrays, mul_columns
 from latticewave.propagators import lambda_field
 from latticewave.spectral import dirac_symbol
 
@@ -208,6 +209,38 @@ def test_compact_operations_equal_dense(g, bits, seed, scalar):
         _same(load_field(path), np.where(a_vals == 0, 0j, a_vals))
 
 
+# -- the pairing --------------------------------------------------------------------
+
+
+def _zero_column(f, c):
+    """``f`` with column ``c`` (modulo its width) set to zero and kept in its support; ``f`` if ``c`` is None."""
+    if c is None or not f.support:
+        return f
+    cols = f.columns.copy()
+    cols[..., c % len(f.support)] = 0
+    return LatticeField._of(f.grid, f.support, cols)
+
+
+@settings(max_examples=60, deadline=None)
+# one scalar column each: above 8 sites numpy sums a lone column pairwise, the dense columns in site order
+@example(shape=[6, 6, 6], h=0.7, bits=(1, 1), seed=3, zeros=(None, None))
+@example(shape=[4, 2], h=1.3, bits=(0b1011, 2**16 - 1), seed=5, zeros=(1, None))
+@given(
+    shape=st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=3),
+    h=st.floats(0.05, 3.0),
+    bits=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.tuples(st.none() | st.integers(0, 63), st.none() | st.integers(0, 63)),
+)
+def test_inner_product_has_the_bits_of_the_dense_pairing(shape, h, bits, seed, zeros):
+    g = GridSpec(tuple(shape), h)
+    rng = np.random.default_rng(seed)
+    f, w = (_zero_column(LatticeField(g, _dense(g, mask & (2**g.blades - 1), rng)), c) for mask, c in zip(bits, zeros))
+    prod = mul_arrays(g.n, dagger_arrays(g.n, f.values), w.values)
+    want = prod.reshape(-1, g.blades).sum(axis=0) * g.h**g.n
+    assert inner_product(f, w).coeffs.tobytes() == want.tobytes()
+
+
 # -- what the layout saves ----------------------------------------------------------
 
 
@@ -229,8 +262,8 @@ def test_scalar_evolution_stays_below_one_dense_field():
 
 
 def test_known_supports_are_never_scanned(monkeypatch, tmp_path):
-    """Transforms, the Clifford product behind ``mul_arrays`` and the field CSV
-    read the stored support.
+    """Transforms, the Clifford product behind ``mul_arrays``, the pairing and
+    the field CSV read the stored support.
 
     Only a dense array of unknown support (the public constructors and
     ``mul_arrays`` itself) has its support read off the values.
@@ -257,6 +290,7 @@ def test_known_supports_are_never_scanned(monkeypatch, tmp_path):
     assert convolve(f, w).support == f.support
     assert dirac_kahler(w).support == (1, 2, 4, 8)
     assert norm(f - f.left_mul(gam)) > 0
+    assert inner_product(f, w).norm() > 0
     assert solve_kg(CauchyData(f, w), TimeModel.continuous(), 1.0, 0.3).support == f.support
     assert len(solve_dirac(w, TimeModel.continuous(), 0.25, 1.0, 0.3).support) == 2 * grid.n + 2
     store_field(f, str(tmp_path / "f.csv"))

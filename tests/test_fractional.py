@@ -329,6 +329,16 @@ def test_mittag_leffler_guards():
         mittag_leffler(1.0, 1.0, -25.0)  # refuses to return cancellation noise
 
 
+def test_mittag_leffler_refuses_a_term_that_overflows():
+    with pytest.raises(ValueError, match="Mittag-Leffler series term overflow"):
+        mittag_leffler(0.01, 1.0, 30.0)
+
+
+def test_mittag_leffler_refuses_a_series_that_does_not_settle():
+    with pytest.raises(ValueError, match="Mittag-Leffler series did not converge within 2000 terms"):
+        mittag_leffler(0.001, 1.0, 0.99)
+
+
 # -- fractional powers ---------------------------------------------------------------
 
 

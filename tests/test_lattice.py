@@ -52,6 +52,12 @@ def test_grid_refuses_spacing_outside_the_float_range():
     GridSpec((4, 4, 4), 1e-100)  # h**3 = 1e-300 still fits
 
 
+def test_a_field_refuses_assignment():
+    f = LatticeField.delta(GridSpec((4,), 1.0))
+    with pytest.raises(AttributeError, match="LatticeField is immutable"):
+        f.support = ()
+
+
 def test_grid_refinement():
     g = GridSpec((8, 4), 0.5, alpha=0.25, mass=1.0)
     r = g.refined()

@@ -217,11 +217,13 @@ ROWS = [
         "momentum-pairing",
         lambda x: lattice.inner_product(x.f, x.g),
         lambda x: oracles.momentum_pairing(x.F, x.G),
-        path=(lattice.inner_product,),
+        path=(lattice.inner_product, clifford.mul_columns, clifford.dagger_columns),
         never=(lattice.inner_product,),
         shared={
-            clifford.mul_arrays: "the pointwise geometric product; criterion 1 checks it against the algebra relations",
-            clifford.dagger_arrays: "the dagger conjugation; criterion 1 checks it against the algebra relations",
+            clifford.mul_columns: "the pointwise geometric product, which the twin reaches through mul_arrays on "
+            "dense arrays; criterion 1 checks it against the algebra relations",
+            clifford.dagger_columns: "the dagger sign rule, which the twin reaches through dagger_arrays; "
+            "criterion 1 checks it against the algebra relations",
         },
     ),
 ]

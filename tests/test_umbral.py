@@ -73,6 +73,11 @@ def test_compositional_inverse_is_asinh_series():
         assert ordinary[k] == 0
 
 
+def test_series_compose_refuses_an_inner_constant_term():
+    with pytest.raises(ValueError, match="composition requires a series with zero constant term"):
+        PowerSeries([1, 1]).compose(PowerSeries([1, 1]))
+
+
 def test_compositional_inverse_round_trips():
     op = DeltaOperator.central_difference(0.5)
     K = op.series.order
@@ -271,6 +276,12 @@ def test_egf_at_zero_argument_is_one():
     assert got.allclose(Multivector.scalar(sig, 1.0))
 
 
+def test_egf_refuses_an_argument_that_does_not_square_to_a_scalar():
+    s = Multivector.generator(Signature(1), 1) + 1  # s^2 = 2 e1
+    with pytest.raises(ValueError, match="argument does not square to a scalar"):
+        egf_eval(DeltaOperator.derivative(), s, 0.5)
+
+
 def test_egf_rejects_nilpotent_direction():
     sig = Signature(1)
     s = Multivector.generator(sig, 1) + Multivector.generator(sig, 2)  # squares to 0
@@ -433,6 +444,16 @@ def test_multiplier_arrays_refuse_a_non_finite_frequency(lam):
 def test_multipliers_refuse_a_negative_frequency():
     with pytest.raises(ValueError, match="frequencies must be nonnegative"):
         wave_multiplier_arrays(DeltaOperator.derivative(), np.array([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize("route", [
+    lambda op: wave_multipliers(op, -math.inf, 0.5),
+    lambda op: wave_multiplier_arrays(op, np.array([1.0, -math.inf]), 0.5),
+], ids=["scalar", "array"])
+def test_minus_infinity_is_refused_as_not_finite(route):
+    # both routes test finiteness before the sign, so -inf is not called negative
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        route(DeltaOperator.derivative())
 
 
 @pytest.mark.parametrize("route", [
